@@ -36,7 +36,6 @@ from .cmj import (
     SimOutcome,
     clt_statistic,
     decompose_fluctuation,
-    expected_population,
     lil_statistic,
     monte_carlo,
     simulate_generations,

@@ -1,9 +1,12 @@
 """Generation counts of the branching process driven by an increasing walk.
 
-Each individual born at time s produces offspring at s plus an independent
-copy of the walk; Y_k(t) counts generation-k births in [0, t].  Replicas
-are simulated on private random streams so ensembles are reproducible
-under any parallel schedule.
+Each individual born at time s produces offspring at s + S_n, the points of
+an independent copy of the walk, or at s + S_{n-1} + eta_n for a perturbed
+walk; Y_k(t) counts generation-k births in [0, t].  One kernel draws every
+generation: generation 1 is the offspring of a root at time 0, and only
+births inside [0, t] are materialized.  Replicas are simulated on private
+random streams and dispatched by one replica map, so ensembles are
+reproducible under any parallel schedule.
 """
 
 from __future__ import annotations
@@ -26,11 +29,6 @@ from .renewal import (
 )
 
 E = math.e
-
-
-def expected_population(k: int, mu: float, t: float) -> float:
-    """Leading-order size t^k/(k! mu^k) of generation k, used as admission control."""
-    return t**k / (math.factorial(k) * mu**k)
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,7 @@ class SimConfig:
         if self.center not in ("formula", "table"):
             raise ValueError("center mode must be 'formula' or 'table'")
         mu = self.law.moments().mean
-        expected = sum(expected_population(k, mu, self.horizon) for k in range(1, self.levels + 1))
+        expected = sum(leading_term(k, mu, self.horizon) for k in range(1, self.levels + 1))
         if expected > self.population_cap:
             raise ValueError(
                 f"horizon/generation cap: expected {expected:.3g} births per replica "
@@ -96,165 +94,108 @@ class FluctuationParts:
 class LilStatistic:
     k: int
     t: float
-    value: float
+    value: float | np.ndarray
     center_mode: str
 
 
-def _walk_points(rng: np.random.Generator, law: Law, t: float, mu: float) -> np.ndarray:
-    """All points of one increasing walk that land in [0, t]."""
-    block = max(16, int(1.25 * t / mu) + 8)
-    origin = 0.0
-    parts = []
-    while True:
-        pts = origin + np.cumsum(law.sample(rng, block))
-        n_in = int(np.searchsorted(pts, t, side="right"))
-        parts.append(pts[:n_in])
-        if n_in < pts.size:
-            break
-        origin = float(pts[-1])
-        block = max(16, block // 2)
-    return np.concatenate(parts)
-
-
-def _perturbed_walk_points(
-    rng: np.random.Generator, xi: Law, eta: Law, t: float, mu: float
-) -> np.ndarray:
-    """Points of S_{n-1} + eta_n in [0, t]; the walk dies once S exceeds t."""
-    block = max(16, int(1.25 * t / mu) + 8)
-    origin = 0.0
-    parts = []
-    while True:
-        xs = xi.sample(rng, block)
-        es = eta.sample(rng, block)
-        s = origin + np.cumsum(xs)
-        prev = np.empty_like(s)
-        prev[0] = origin
-        prev[1:] = s[:-1]
-        alive = int(np.searchsorted(s, t, side="right"))
-        # births exist wherever the pre-step position prev <= t, i.e. the
-        # first alive+1 steps of this block
-        cand = (prev + es)[: min(alive + 1, block)]
-        parts.append(cand[cand <= t])
-        if alive < block:
-            break
-        origin = float(s[-1])
-        block = max(16, block // 2)
-    return np.concatenate(parts)
-
-
-def _offspring(
-    rng: np.random.Generator, law: Law, parents: np.ndarray, t: float, keep_times: bool
-) -> tuple[np.ndarray | None, int]:
-    """One generation step: all parents' walks advanced in lockstep rounds.
-
-    Walks are increasing, so a walk whose position passes t is dead; the
-    expected number of draws is the number of children plus one per parent.
-    """
-    cur = parents
-    chunks = []
-    count = 0
-    while cur.size:
-        cur = cur + law.sample(rng, cur.size)
-        cur = cur[cur <= t]
-        count += cur.size
-        if keep_times:
-            chunks.append(cur)
-    if not keep_times:
-        return None, count
-    times = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
-    return times, count
-
-
-def _offspring_perturbed(
+def _children(
     rng: np.random.Generator,
     xi: Law,
-    eta: Law,
+    eta: Law | None,
     parents: np.ndarray,
     t: float,
-    keep_times: bool,
-) -> tuple[np.ndarray | None, int]:
-    base = parents
+    mu: float,
+) -> np.ndarray:
+    """Birth times in [0, t] of every child of every parent.
+
+    A parent born at s starts the walk s + S_n; its children are born at
+    s + S_n, or at s + S_{n-1} + eta_n when eta is given.  Each live walk
+    draws one block per round, sized to overshoot its own remaining horizon
+    with high probability, and one flat cumsum rebased per walk places the
+    whole round.  Walks still at or below t start another round.
+    """
+    origins = np.asarray(parents, dtype=np.float64)
     chunks = []
-    count = 0
-    while base.size:
-        cand = base + eta.sample(rng, base.size)
-        ok = cand <= t
-        count += int(ok.sum())
-        if keep_times:
-            chunks.append(cand[ok])
-        base = base + xi.sample(rng, base.size)
-        base = base[base <= t]
-    if not keep_times:
-        return None, count
-    times = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
-    return times, count
+    while origins.size:
+        sizes = np.maximum(16, (1.25 * (t - origins) / mu).astype(np.int64) + 8)
+        ends = np.cumsum(sizes)
+        pos = np.cumsum(xi.sample(rng, int(ends[-1])))
+        pos += np.repeat(origins - np.concatenate(([0.0], pos[ends[:-1] - 1])), sizes)
+        if eta is None:
+            births = pos
+        else:
+            prev = np.empty_like(pos)
+            prev[1:] = pos[:-1]
+            prev[ends - sizes] = origins
+            births = prev + eta.sample(rng, pos.size)
+        chunks.append(births[births <= t])
+        last = pos[ends - 1]
+        origins = last[last <= t]
+    return np.concatenate(chunks) if chunks else np.empty(0)
 
 
 def _is_exponential(law: Law) -> bool:
     return isinstance(law, SmoothLaw) and law.family == "exp"
 
 
-def _grid_counts(times: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    return np.searchsorted(np.sort(times), grid, side="right").astype(np.int64)
-
-
 def simulate_generations(config: SimConfig, replica: int) -> SimOutcome:
     """Simulate one replica: counts Y_k(t) for k = 1..K, optional path/times.
 
-    Only births inside [0, t] are materialized; for the final generation of
-    an exponential standard walk the counts are drawn directly (the number
-    of walk points in a window of length w is Poisson(rate * w)), which is
-    an exact shortcut, not an approximation.
+    Generation 1 is the offspring of one root at time 0, and every
+    generation is the offspring of the one before, so only births inside
+    [0, t] are materialized.  For the final generation (k >= 2) of an
+    exponential standard walk the counts are drawn directly (the number of
+    walk points in a window of length w is Poisson(rate * w)), which is an
+    exact shortcut, not an approximation.
     """
     rng = RngStream(config.seed, config.stream_offset + replica).generator()
-    t = config.horizon
-    law, eta = config.law, config.eta
+    t, law, eta, grid = config.horizon, config.law, config.eta, config.grid
     mu = law.moments().mean
-    keep_grid = config.grid is not None
-
-    if eta is None:
-        gen = _walk_points(rng, law, t, mu)
-    else:
-        gen = _perturbed_walk_points(rng, law, eta, t, mu)
-
     counts = np.zeros(config.levels, dtype=np.int64)
-    counts[0] = gen.size
-    path = np.zeros((config.levels, config.grid.size), dtype=np.int64) if keep_grid else None
-    if keep_grid:
-        path[0] = _grid_counts(gen, config.grid)
-    gen1 = gen.copy() if config.retain_gen1 else None
-
-    for k in range(2, config.levels + 1):
-        need_times = keep_grid or k < config.levels
-        if not need_times and eta is None and _is_exponential(law):
-            rate = law.params["rate"]
-            counts[k - 1] = int(rng.poisson((t - gen) * rate).sum()) if gen.size else 0
-            gen = np.empty(0, dtype=np.float64)
-        elif eta is None:
-            gen, counts[k - 1] = _offspring(rng, law, gen, t, need_times)
-        else:
-            gen, counts[k - 1] = _offspring_perturbed(rng, law, eta, gen, t, need_times)
-        if keep_grid:
-            path[k - 1] = _grid_counts(gen, config.grid)
+    path = None if grid is None else np.zeros((config.levels, grid.size), dtype=np.int64)
+    poisson_last = config.levels > 1 and path is None and eta is None and _is_exponential(law)
+    gen = np.zeros(1)
+    gen1 = None
+    for k in range(config.levels - poisson_last):
+        gen = _children(rng, law, eta, gen, t, mu)
+        counts[k] = gen.size
+        if path is not None:
+            path[k] = np.searchsorted(np.sort(gen), grid, side="right")
+        if k == 0 and config.retain_gen1:
+            gen1 = gen
+    if poisson_last:
+        counts[-1] = rng.poisson((t - gen) * law.params["rate"]).sum()
     return SimOutcome(counts, path, gen1)
 
 
-def clt_statistic(yk: float, k: int, t: float, m: Moments, center: float) -> float:
-    """a_k (yk - center) / t^{k-1/2}; asymptotically standard normal."""
+def _power(t: float, exponent: float) -> float:
+    """t**exponent by numpy's array power, which can differ from Python's
+    ``**`` in the last bit; the statistics use only this one rounding."""
+    return float(np.power(t, [exponent])[0])
+
+
+def clt_statistic(yk, k: int, t: float, m: Moments, center: float):
+    """a_k (yk - center) / t^{k-1/2}; asymptotically standard normal.
+
+    ``yk`` may be one count or an array of counts.
+    """
     if t <= 0:
         raise ValueError("time must be positive")
     a_k = lil_constant(k, m.mean, m.sigma)
-    return a_k * (yk - center) / t ** (k - 0.5)
+    return a_k * (yk - center) / _power(t, k - 0.5)
 
 
 def lil_statistic(
-    yk: float, k: int, t: float, m: Moments, center: float, center_mode: str = "formula"
+    yk, k: int, t: float, m: Moments, center: float, center_mode: str = "formula"
 ) -> LilStatistic:
-    """a_k (yk - center) / sqrt(2 t^{2k-1} log log t); needs t > e."""
+    """a_k (yk - center) / sqrt(2 t^{2k-1} log log t); needs t > e.
+
+    ``yk`` may be one count or an array of counts.
+    """
     if t <= E:
         raise ValueError("LIL statistic undefined for t <= e")
     a_k = lil_constant(k, m.mean, m.sigma)
-    denom = math.sqrt(2.0 * t ** (2 * k - 1) * math.log(math.log(t)))
+    denom = math.sqrt(2.0 * _power(t, 2 * k - 1) * math.log(math.log(t)))
     return LilStatistic(k, t, a_k * (yk - center) / denom, center_mode)
 
 
@@ -349,30 +290,37 @@ def resolve_workers(workers: int | None = None) -> int:
         workers = os.cpu_count() or 1
     cap = os.environ.get("ITERLOG_THREADS")
     if cap:
-        workers = min(workers, int(cap))
+        try:
+            workers = min(workers, int(cap))
+        except ValueError:
+            raise ValueError(f"ITERLOG_THREADS must be an integer, got {cap!r}") from None
     return max(1, workers)
 
 
-def _mc_counts_worker(args) -> tuple[int, np.ndarray]:
-    config, start, stop = args
-    out = np.empty((stop - start, config.levels), dtype=np.int64)
-    for i, r in enumerate(range(start, stop)):
-        out[i] = simulate_generations(config, r).counts
-    return start, out
+def _rows(args) -> np.ndarray:
+    row, config, start, stop, extra = args
+    return np.array([row(config, r, *extra) for r in range(start, stop)])
 
 
-def _run_replicas(config: SimConfig, workers: int) -> np.ndarray:
+def _map_replicas(row, config: SimConfig, workers: int | None, *extra) -> np.ndarray:
+    """Stack row(config, r, *extra) for every replica r, in replica order.
+
+    ``row`` must be a module-level function so pool workers can run it.
+    Each replica owns its stream, so the rows do not depend on the worker
+    count or on how replicas are chunked.
+    """
     r = config.replicas
+    workers = resolve_workers(workers)
     if workers <= 1 or r < 64:
-        _, out = _mc_counts_worker((config, 0, r))
-        return out
-    chunk = max(1, -(-r // (workers * 4)))
-    jobs = [(config, s, min(s + chunk, r)) for s in range(0, r, chunk)]
-    out = np.empty((r, config.levels), dtype=np.int64)
+        return _rows((row, config, 0, r, extra))
+    chunk = -(-r // (workers * 4))
+    jobs = [(row, config, s, min(s + chunk, r), extra) for s in range(0, r, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for start, block in pool.map(_mc_counts_worker, jobs):
-            out[start : start + block.shape[0]] = block
-    return out
+        return np.concatenate(list(pool.map(_rows, jobs)))
+
+
+def _count_row(config: SimConfig, replica: int) -> np.ndarray:
+    return simulate_generations(config, replica).counts
 
 
 def monte_carlo(
@@ -387,36 +335,28 @@ def monte_carlo(
     """
     if config.replicas < 2:
         raise ValueError("ensemble needs at least two replicas")
-    counts = _run_replicas(config, resolve_workers(workers))
+    counts = _map_replicas(_count_row, config, workers)
     m = config.law.moments()
-    ks = np.arange(1, config.levels + 1)
-    centers = np.array(
-        [center_value(k, config.horizon, m, config.center, table) for k in ks]
-    )
+    t = config.horizon
+    ks = range(1, config.levels + 1)
+    centers = np.array([center_value(k, t, m, config.center, table) for k in ks])
     means = counts.mean(axis=0)
     variances = counts.var(axis=0, ddof=1)
-    clt = None
-    lil = None
+    clt = lil = None
     if m.variance > 0:
-        a = np.array([lil_constant(k, m.mean, m.sigma) for k in ks])
-        t = config.horizon
-        clt = a * (counts - centers) / t ** (ks - 0.5)
+        columns = [(counts[:, k - 1], k, t, m, centers[k - 1]) for k in ks]
+        clt = np.column_stack([clt_statistic(*c) for c in columns])
         if t > E:
-            denom = np.sqrt(2.0 * t ** (2 * ks - 1) * math.log(math.log(t)))
-            lil = a * (counts - centers) / denom
+            lil = np.column_stack([lil_statistic(*c).value for c in columns])
     return MonteCarloSummary(config, counts, means, variances, clt, lil, centers)
 
 
-def _decomp_worker(args) -> tuple[int, np.ndarray]:
-    config, start, stop, k, v_eval = args
-    out = np.empty((stop - start, 3), dtype=np.float64)
-    for i, r in enumerate(range(start, stop)):
-        sim = simulate_generations(config, r)
-        parts = decompose_fluctuation(
-            sim.gen1_times, float(sim.counts[k - 1]), k, config.horizon, v_eval
-        )
-        out[i] = (parts.i_k, parts.j_k, parts.total)
-    return start, out
+def _decomposition_row(config: SimConfig, replica: int, k: int, v_eval) -> tuple:
+    sim = simulate_generations(config, replica)
+    parts = decompose_fluctuation(
+        sim.gen1_times, float(sim.counts[k - 1]), k, config.horizon, v_eval
+    )
+    return parts.i_k, parts.j_k, parts.total
 
 
 def decomposition_ensemble(
@@ -430,15 +370,4 @@ def decomposition_ensemble(
         config = replace(config, retain_gen1=True)
     if k < 2 or k > config.levels:
         raise ValueError("decomposition level must satisfy 2 <= k <= K")
-    r = config.replicas
-    n_workers = resolve_workers(workers)
-    if n_workers <= 1 or r < 64:
-        _, out = _decomp_worker((config, 0, r, k, v_eval))
-        return out
-    chunk = max(1, -(-r // (n_workers * 4)))
-    jobs = [(config, s, min(s + chunk, r), k, v_eval) for s in range(0, r, chunk)]
-    out = np.empty((r, 3), dtype=np.float64)
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        for start, block in pool.map(_decomp_worker, jobs):
-            out[start : start + block.shape[0]] = block
-    return out
+    return _map_replicas(_decomposition_row, config, workers, k, v_eval)

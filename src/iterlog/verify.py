@@ -376,14 +376,13 @@ def lil_extrema_series(seed: int, replicas: int = 100, workers: int | None = Non
         stream_offset=_offset("r_lil"),
     )
     m = config.law.moments()
-    stats = np.empty((replicas, grid.size))
-    for r in range(replicas):
-        sim = cmj.simulate_generations(config, r)
-        for j, t in enumerate(grid):
-            center = cmj.center_value(1, float(t), m)
-            stats[r, j] = cmj.lil_statistic(
-                float(sim.path[0, j]), 1, float(t), m, center
-            ).value
+    paths = np.array([cmj.simulate_generations(config, r).path[0] for r in range(replicas)])
+    stats = np.column_stack(
+        [
+            cmj.lil_statistic(paths[:, j], 1, t, m, cmj.center_value(1, t, m)).value
+            for j, t in enumerate(grid.tolist())
+        ]
+    )
     return grid, stats
 
 

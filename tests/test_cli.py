@@ -110,6 +110,14 @@ def test_mc_threads_env_invariance(tmp_path, monkeypatch):
     assert outs[0] == outs[1]
 
 
+def test_mc_threads_env_not_integer(monkeypatch, capsys):
+    monkeypatch.setenv("ITERLOG_THREADS", "abc")
+    code = run(["mc", "--law", "exp:rate=1", "--K", "1", "--t", "5", "--replicas", "4"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ITERLOG_THREADS" in err and "'abc'" in err
+
+
 def test_rrt_enumerate_json(capsys):
     code = run(["rrt", "--enumerate", "3", "--K", "3"])
     assert code == 0

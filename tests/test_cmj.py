@@ -11,13 +11,12 @@ from iterlog.cmj import (
     clt_statistic,
     decompose_fluctuation,
     decomposition_ensemble,
-    expected_population,
     lil_statistic,
     monte_carlo,
     simulate_generations,
 )
 from iterlog.dist import LatticeLaw, SmoothLaw, geometric_lattice
-from iterlog.renewal import ExponentialRenewal, renewal_table
+from iterlog.renewal import ExponentialRenewal, leading_term, renewal_table
 
 EXP1 = SmoothLaw("exp", {"rate": 1.0})
 UNIT = LatticeLaw(1.0, np.array([1.0]))
@@ -29,6 +28,13 @@ def test_deterministic_walk_counts():
     config = SimConfig(UNIT, levels=3, horizon=5.5, seed=0, replicas=1)
     sim = simulate_generations(config, 0)
     assert list(sim.counts) == [5, math.comb(5, 2), math.comb(5, 3)]
+    # perturbed by eta = 2: births at S_{n-1} + 2, Y_k(t) = C(floor(t) - k, k)
+    eta = LatticeLaw(2.0, np.array([1.0]))
+    for t in (5.5, 9.0, 12.3):
+        config = SimConfig(UNIT, levels=3, horizon=t, eta=eta, seed=0, replicas=1)
+        n = math.floor(t)
+        expected = [math.comb(n - k, k) for k in (1, 2, 3)]
+        assert list(simulate_generations(config, 0).counts) == expected
 
 
 def test_no_births_before_first_arrival():
@@ -69,12 +75,17 @@ def test_geometric_mean_vs_exact_table():
 
 
 def test_lattice_mean_four_sigma_gate():
-    table = renewal_table(GEOM, 2, 200)
-    config = SimConfig(GEOM, levels=2, horizon=200.0, seed=23, replicas=10_000)
-    summary = monte_carlo(config)
-    for k in (1, 2):
-        se = math.sqrt(summary.variances[k - 1] / config.replicas)
-        assert abs(summary.means[k - 1] - table.level(k)[200]) <= 4.0 * se
+    # p_1 = 0.9, p_50 = 0.1 (mu = 5.9): about one walk in eight from the
+    # origin outlives its first block at t = 60 and needs another round
+    slow = np.zeros(50)
+    slow[0], slow[49] = 0.9, 0.1
+    for law, t, replicas in ((GEOM, 200, 10_000), (LatticeLaw(1.0, slow), 60, 4_000)):
+        table = renewal_table(law, 2, t)
+        config = SimConfig(law, levels=2, horizon=float(t), seed=23, replicas=replicas)
+        summary = monte_carlo(config)
+        for k in (1, 2):
+            se = math.sqrt(summary.variances[k - 1] / config.replicas)
+            assert abs(summary.means[k - 1] - table.level(k)[t]) <= 4.0 * se
 
 
 def test_perturbed_mean_vs_exact_table():
@@ -109,6 +120,12 @@ def test_monte_carlo_deterministic():
     assert np.array_equal(a.counts, b.counts)
     assert np.array_equal(a.counts, c.counts)
     assert a.to_dict() == c.to_dict()
+    # the perturbed kernel with a grid, serial and through the pool
+    grid = np.linspace(0.0, 30.0, 7)
+    config = SimConfig(GEOM, levels=3, horizon=30.0, eta=GEOM, grid=grid, seed=9, replicas=128)
+    serial = monte_carlo(config, workers=1)
+    pooled = monte_carlo(config, workers=2)
+    assert np.array_equal(serial.counts, pooled.counts)
 
 
 def test_monte_carlo_needs_two_replicas():
@@ -190,9 +207,10 @@ def test_decomposition_requires_times_and_level():
 
 
 def test_expected_population_values():
-    assert expected_population(3, 1.0, 30.0) == 4500.0
-    assert expected_population(1, 2.0, 10.0) == 5.0
-    total = sum(expected_population(k, 1.0, 20.0) for k in range(1, 5))
+    # SimConfig admits a run by its leading-order expected population
+    assert leading_term(3, 1.0, 30.0) == 4500.0
+    assert leading_term(1, 2.0, 10.0) == 5.0
+    total = sum(leading_term(k, 1.0, 20.0) for k in range(1, 5))
     assert total == pytest.approx(8220.0, abs=0.5)
 
 
