@@ -2,9 +2,9 @@
 
 Builds the renewal sequence u_n, the level tables V_k(nd) by discrete
 Stieltjes convolution, the perturbed variants V*_k, and evaluates every
-closed-form constant and asymptotic expansion attached to them.  All grid
-arithmetic is double precision with full-precision (fsum) accumulation in
-the convolutions, so the deterministic-law tables are integer exact.
+closed-form constant and asymptotic expansion attached to them.  Grid sums
+add nonnegative doubles in one fixed order: within 5e-15 relative of an exact
+oracle, integer exact for deterministic laws, and independent of BLAS threads.
 """
 
 from __future__ import annotations
@@ -47,8 +47,11 @@ class RenewalTable:
         return self.values[k - 1]
 
     def at(self, k: int, t: float) -> float:
-        """V_k(t) for arbitrary t in [0, horizon*d]; step-constant between sites."""
-        n = int(math.floor(t / self.span + 1e-12))
+        """V_k(t) for t in [0, horizon*d]; t within a relative 1e-9 of a site is on it."""
+        x = t / self.span
+        n = round(x)
+        if not math.isclose(x, n, rel_tol=1e-9, abs_tol=1e-9):
+            n = math.floor(x)
         if n < 0 or n > self.horizon:
             raise ValueError(f"t={t} outside table horizon")
         return float(self.values[k - 1, n])
@@ -96,15 +99,16 @@ def _cumsum_exact(x: np.ndarray) -> np.ndarray:
 
 
 def _convolve_stieltjes(du: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """out[n] = sum_{m=1..n} du[m] * v[n-m], with fsum per entry.
+    """out[n] = sum_{m=1..n} du[m] * v[n-m], added in order of m; du may be shorter.
 
     du[0] is ignored: increments of a renewal-type function start at the
     first lattice site because the underlying laws have no atom at zero.
+    Shifted axpys, not np.convolve: a BLAS dot sums in a thread-dependent order.
     """
     n_max = v.size - 1
     out = np.zeros(n_max + 1, dtype=np.float64)
-    for n in range(1, n_max + 1):
-        out[n] = math.fsum((du[1 : n + 1] * v[n - 1 :: -1][:n]).tolist())
+    for m in range(1, min(du.size, v.size)):
+        out[m:] += du[m] * v[: n_max + 1 - m]
     return out
 
 
@@ -130,10 +134,7 @@ def convolve_levels(
     _check_guard(levels, table.horizon, max_entries)
     if levels <= table.levels:
         return table
-    v1 = table.values[0]
-    du = np.empty_like(v1)
-    du[0] = 0.0
-    du[1:] = np.diff(v1)
+    du = np.diff(table.values[0], prepend=0.0)
     vals = np.empty((levels, table.horizon + 1), dtype=np.float64)
     vals[: table.levels] = table.values
     for k in range(table.levels + 1, levels + 1):
@@ -161,12 +162,8 @@ def perturbed_table(
         raise ValueError("renewal sequence shorter than requested horizon")
     _check_guard(1, n_max, max_entries)
     big_u = _cumsum_exact(u[: n_max + 1])
-    q = eta.pmf
-    v_star = np.zeros(n_max + 1, dtype=np.float64)
-    for n in range(1, n_max + 1):
-        m = min(n, q.size)
-        v_star[n] = math.fsum((q[:m] * big_u[n - 1 :: -1][:m]).tolist())
-    return RenewalTable(span, v_star[np.newaxis, :].copy(), mu, kind="perturbed")
+    v_star = _convolve_stieltjes(np.concatenate(([0.0], eta.pmf)), big_u)
+    return RenewalTable(span, v_star[np.newaxis, :], mu, kind="perturbed")
 
 
 @dataclass(frozen=True)

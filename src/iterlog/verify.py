@@ -314,6 +314,8 @@ def _chi2_two_sample(x: np.ndarray, y: np.ndarray, min_pooled: int = 25) -> floa
             mx.append(ax)
             my.append(ay)
             ax = ay = 0
+    if not mx:
+        raise ValueError(f"pooled count {ax + ay} never reaches min_pooled={min_pooled}")
     if ax + ay:
         mx[-1] += ax
         my[-1] += ay

@@ -167,6 +167,11 @@ def test_verify_gated_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in _capture(capsys)
 
 
+def test_chi2_two_sample_too_few_counts():
+    with pytest.raises(ValueError, match="min_pooled=25"):
+        verify._chi2_two_sample(np.array([1, 2, 3]), np.array([1, 2]))
+
+
 def test_usage_errors(capsys):
     assert run(["moments", "--law", "bogus:x=1"]) == 2
     assert run(["nonsense"]) == 2

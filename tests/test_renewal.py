@@ -2,15 +2,22 @@
 powers, hand values, and the closed-form constants."""
 
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import iterlog
 from iterlog.dist import LatticeLaw, SmoothLaw, geometric_lattice
 from iterlog.renewal import (
     AsymptoticConstants,
     ExponentialRenewal,
+    RenewalTable,
     _convolve_stieltjes,
     check_subadditivity,
     convolve_levels,
@@ -265,6 +272,99 @@ def test_table_at_step_lookup():
     assert table.at(1, 3.7) == 3.0
     with pytest.raises(ValueError, match="horizon"):
         table.at(1, 11.0)
+
+
+def test_table_at_non_integer_span():
+    # t = n*0.3 in floating point can fall just below site n
+    n_max = 130_000
+    table = RenewalTable(0.3, np.arange(n_max + 1.0)[np.newaxis, :], 1.0)
+    sites = np.arange(110_000, n_max + 1)
+    assert [table.at(1, n * 0.3) for n in sites.tolist()] == sites.tolist()
+    assert table.at(1, 110_000.5 * 0.3) == 110_000.0
+    assert table.at(1, (110_000 - 1e-3) * 0.3) == 109_999.0
+    assert table.at(1, 0.0) == 0.0
+    for t in (-0.3, (n_max + 1) * 0.3):
+        with pytest.raises(ValueError, match="horizon"):
+            table.at(1, t)
+
+
+def _exact_levels(step: LatticeLaw, levels: int, n_max: int, eta: LatticeLaw | None = None) -> np.ndarray:
+    """V_1..V_K (or V*_1..V*_K when eta is given) in exact rationals.
+
+    Generating-function recurrences on the float pmf entries taken as exact
+    fractions: V_k (1-P) = P V_{k-1} with V_0 = 1/(1-z), and for the
+    perturbed chain V*_k (1-P) = Q V*_{k-1} with V*_0 = 1/(1-z).
+    """
+    p = [Fraction(x) for x in step.pmf.tolist()]
+    q = p if eta is None else [Fraction(x) for x in eta.pmf.tolist()]
+    prev = [Fraction(1)] * (n_max + 1)
+    rows = []
+    for _ in range(levels):
+        cur = []
+        for n in range(n_max + 1):
+            cur.append(
+                sum(p[m - 1] * cur[n - m] for m in range(1, min(len(p), n) + 1))
+                + sum(q[m - 1] * prev[n - m] for m in range(1, min(len(q), n) + 1))
+            )
+        rows.append(cur)
+        prev = cur
+    return np.array([[float(x) for x in row] for row in rows])
+
+
+def _assert_rel_close(got: np.ndarray, exact: np.ndarray, tol: float = 1e-12) -> None:
+    # exact zeros must come out exactly zero
+    assert got.shape == exact.shape
+    assert np.all(np.abs(got - exact) <= tol * exact)
+
+
+RATIONAL_LAWS = [
+    LatticeLaw(1.0, np.array([0.25, 0.5, 0.25])),
+    LatticeLaw(1.0, np.array([0.2, 0.5, 0.3])),
+    LatticeLaw(1.0, np.array([0.6, 0.0, 0.4])),
+]
+
+
+@pytest.mark.parametrize("law", RATIONAL_LAWS)
+@pytest.mark.parametrize("n_max", [0, 1, 300])
+def test_standard_table_vs_fraction_oracle(law, n_max):
+    _assert_rel_close(renewal_table(law, 3, n_max).values, _exact_levels(law, 3, n_max))
+
+
+@pytest.mark.parametrize(
+    "step, eta, n_max",
+    [
+        (RATIONAL_LAWS[1], RATIONAL_LAWS[2], 300),
+        (RATIONAL_LAWS[0], RATIONAL_LAWS[1], 300),
+        (RATIONAL_LAWS[2], RATIONAL_LAWS[0], 0),
+        (RATIONAL_LAWS[2], RATIONAL_LAWS[0], 1),
+        (RATIONAL_LAWS[1], GEOM, 10),  # perturbation support 50 beyond the horizon
+    ],
+)
+def test_perturbed_chain_vs_fraction_oracle(step, eta, n_max):
+    u = renewal_sequence(step, n_max)
+    chain = convolve_levels(perturbed_table(u, step.span, eta, n_max, step.moments().mean), 3)
+    _assert_rel_close(chain.values, _exact_levels(step, 3, n_max, eta))
+
+
+def test_table_bits_independent_of_blas_threads():
+    src = str(Path(iterlog.__file__).resolve().parents[1])
+    code = (
+        "import hashlib, sys\n"
+        "from iterlog.dist import geometric_lattice\n"
+        "from iterlog.renewal import renewal_table\n"
+        "values = renewal_table(geometric_lattice(0.5), 3, 16000).values\n"
+        "sys.stdout.write(hashlib.sha256(values.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True
+        )
+        digests.append(done.stdout)
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_csv_round_trip(tmp_path):
