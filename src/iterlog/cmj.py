@@ -5,20 +5,18 @@ an independent copy of the walk, or at s + S_{n-1} + eta_n for a perturbed
 walk; Y_k(t) counts generation-k births in [0, t].  One kernel draws every
 generation: generation 1 is the offspring of a root at time 0, and only
 births inside [0, t] are materialized.  Replicas are simulated on private
-random streams and dispatched by one replica map, so ensembles are
+random streams and dispatched by ``dist.map_blocks``, so ensembles are
 reproducible under any parallel schedule.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .dist import Law, Moments, RngStream, SmoothLaw
+from .dist import Law, Moments, RngStream, SmoothLaw, map_blocks
 from .renewal import (
     AsymptoticConstants,
     ExponentialRenewal,
@@ -284,43 +282,8 @@ class MonteCarloSummary:
         return d
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument or cpu count, capped by ITERLOG_THREADS."""
-    if workers is None:
-        workers = os.cpu_count() or 1
-    cap = os.environ.get("ITERLOG_THREADS")
-    if cap:
-        try:
-            workers = min(workers, int(cap))
-        except ValueError:
-            raise ValueError(f"ITERLOG_THREADS must be an integer, got {cap!r}") from None
-    return max(1, workers)
-
-
-def _rows(args) -> np.ndarray:
-    row, config, start, stop, extra = args
-    return np.array([row(config, r, *extra) for r in range(start, stop)])
-
-
-def _map_replicas(row, config: SimConfig, workers: int | None, *extra) -> np.ndarray:
-    """Stack row(config, r, *extra) for every replica r, in replica order.
-
-    ``row`` must be a module-level function so pool workers can run it.
-    Each replica owns its stream, so the rows do not depend on the worker
-    count or on how replicas are chunked.
-    """
-    r = config.replicas
-    workers = resolve_workers(workers)
-    if workers <= 1 or r < 64:
-        return _rows((row, config, 0, r, extra))
-    chunk = -(-r // (workers * 4))
-    jobs = [(row, config, s, min(s + chunk, r), extra) for s in range(0, r, chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(_rows, jobs)))
-
-
-def _count_row(config: SimConfig, replica: int) -> np.ndarray:
-    return simulate_generations(config, replica).counts
+def _count_rows(block: int, replicas: range, config: SimConfig) -> np.ndarray:
+    return np.array([simulate_generations(config, r).counts for r in replicas])
 
 
 def monte_carlo(
@@ -335,7 +298,7 @@ def monte_carlo(
     """
     if config.replicas < 2:
         raise ValueError("ensemble needs at least two replicas")
-    counts = _map_replicas(_count_row, config, workers)
+    counts = map_blocks(_count_rows, config.replicas, 1, workers, config)
     m = config.law.moments()
     t = config.horizon
     ks = range(1, config.levels + 1)
@@ -351,12 +314,11 @@ def monte_carlo(
     return MonteCarloSummary(config, counts, means, variances, clt, lil, centers)
 
 
-def _decomposition_row(config: SimConfig, replica: int, k: int, v_eval) -> tuple:
-    sim = simulate_generations(config, replica)
-    parts = decompose_fluctuation(
-        sim.gen1_times, float(sim.counts[k - 1]), k, config.horizon, v_eval
-    )
-    return parts.i_k, parts.j_k, parts.total
+def _decomposition_rows(block: int, replicas: range, config: SimConfig, k: int, v_eval) -> np.ndarray:
+    sims = (simulate_generations(config, r) for r in replicas)
+    t = config.horizon
+    parts = (decompose_fluctuation(s.gen1_times, float(s.counts[k - 1]), k, t, v_eval) for s in sims)
+    return np.array([astuple(p) for p in parts])
 
 
 def decomposition_ensemble(
@@ -370,4 +332,4 @@ def decomposition_ensemble(
         config = replace(config, retain_gen1=True)
     if k < 2 or k > config.levels:
         raise ValueError("decomposition level must satisfy 2 <= k <= K")
-    return _map_replicas(_decomposition_row, config, workers, k, v_eval)
+    return map_blocks(_decomposition_rows, config.replicas, 1, workers, config, k, v_eval)

@@ -3,13 +3,17 @@
 A lattice law lives on {d, 2d, ..., Md} with span-maximal d; a smooth law
 is one of the parametric families (exponential, gamma, shifted uniform).
 Both expose exact closed-form moments and reproducible sampling through
-per-replica counter-based streams.
+counter-based streams, and one dispatcher maps blocks of replicas over a
+process pool.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -189,36 +193,74 @@ def geometric_lattice(p: float, span: float = 1.0) -> LatticeLaw:
 
 @dataclass
 class RngStream:
-    """Counter-based random stream: (master seed, stream index).
+    """Counter-based random stream: (master seed, stream index, substream).
 
     Identical (seed, index) pairs reproduce the same sample sequence under
     any parallel schedule, so one stream per replica gives bitwise
-    reproducible ensembles.  Streams are single-owner: the generator is
+    reproducible ensembles.  Substream b starts b * 2**128 draws into the
+    (seed, index) Philox stream: substreams never overlap, and substream 0
+    is the stream itself.  Streams are single-owner: the generator is
     cached and stateful across calls.
     """
 
     seed: int
     index: int = 0
+    substream: int = 0
     _generator: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("stream index must be nonnegative")
+        if self.index < 0 or self.substream < 0:
+            raise ValueError("stream index and substream must be nonnegative")
 
     def generator(self) -> np.random.Generator:
         if self._generator is None:
             ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.index,))
-            self._generator = np.random.Generator(np.random.Philox(ss))
+            bits = np.random.Philox(ss)
+            self._generator = np.random.Generator(bits.jumped(self.substream) if self.substream else bits)
         return self._generator
-
-    def child(self, offset: int) -> "RngStream":
-        """Fresh stream at index + offset (for carving replica blocks)."""
-        return RngStream(self.seed, self.index + offset)
 
 
 #: Stream-index spacing between independent experiment blocks, so named
 #: checks can each own a contiguous range of replica indices.
 STREAM_BLOCK = 1 << 32
+
+
+def resolve_workers(workers: int | None = None) -> int:
+    """Worker count: explicit argument or cpu count, capped by ITERLOG_THREADS."""
+    if workers is None:
+        workers = os.cpu_count() or 1
+    cap = os.environ.get("ITERLOG_THREADS")
+    if cap:
+        try:
+            workers = min(workers, int(cap))
+        except ValueError:
+            raise ValueError(f"ITERLOG_THREADS must be an integer, got {cap!r}") from None
+    return max(1, workers)
+
+
+def _run_blocks(fn, total: int, block: int, extra: tuple, blocks: range) -> np.ndarray:
+    rows = range(total)
+    return np.concatenate([fn(b, rows[b * block : (b + 1) * block], *extra) for b in blocks])
+
+
+def map_blocks(fn, total: int, block: int, workers: int | None, *extra) -> np.ndarray:
+    """Rows of ``total`` replicas in replica order, computed a block at a time.
+
+    ``fn(b, rows, *extra)``, a module-level function, stacks the rows of
+    block b, the replicas ``rows = range(total)[b * block : (b + 1) * block]``.
+    A block owns its randomness (a stream per replica, or substream b of
+    one stream), so the result never depends on the worker count.
+    """
+    if total < 1:
+        raise ValueError("need at least one replica")
+    run = partial(_run_blocks, fn, total, block, extra)
+    blocks = range(-(-total // block))
+    workers = resolve_workers(workers)
+    if workers <= 1 or total < 64 or len(blocks) < 2:
+        return run(blocks)
+    step = -(-len(blocks) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(run, [blocks[b : b + step] for b in blocks[::step]])))
 
 
 def parse_law(spec: str) -> Law:

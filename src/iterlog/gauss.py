@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import RngStream
-from .renewal import RenewalTable
+from .dist import RngStream, map_blocks
+from .renewal import RenewalTable, lattice_site
 
 
 @dataclass
@@ -42,25 +42,30 @@ def sample_bm(t_max: float, h: float, stream: RngStream) -> BmPath:
     return BmPath(h, w)
 
 
-def _cells_below(path_h: float, t: float, horizon: float) -> int:
-    if t < 0 or t > horizon + 1e-9:
+def _cells_below(path: BmPath, t: float) -> int:
+    """Grid cells below t, a t that rounds to just below a grid point on it."""
+    x = t / path.h
+    # -lattice_site(-x) is the number of cells that cover [0, t]
+    if x < 0 or -lattice_site(-x) > path.values.size - 1:
         raise ValueError("t outside path horizon")
-    return int(math.floor(t / path_h + 1e-9))
+    return int(lattice_site(x))
+
+
+def _path_sum(path: BmPath, t: float, weight) -> float:
+    """sum_j weight(t - x_j) dW_j over the grid cells below t (left points x_j)."""
+    m = _cells_below(path, t)
+    lags = t - path.h * np.arange(m, dtype=np.float64)
+    return float(np.dot(weight(lags), np.diff(path.values[: m + 1])))
 
 
 def b1k(path: BmPath, k: int, t: float) -> float:
     """sum_j (t - x_j)^{k-1} dW_j over grid cells below t (left points x_j)."""
     if k < 1:
         raise ValueError("level must be >= 1")
-    m = _cells_below(path.h, t, path.horizon)
-    if m == 0:
-        return 0.0
     if k == 1:
         # unit weights telescope: the sum is W at the last grid point
-        return float(path.values[m] - path.values[0])
-    dw = np.diff(path.values[: m + 1])
-    x = path.h * np.arange(m, dtype=np.float64)
-    return float(np.dot((t - x) ** (k - 1), dw))
+        return float(path.values[_cells_below(path, t)] - path.values[0])
+    return _path_sum(path, t, lambda lag: lag ** (k - 1))
 
 
 @dataclass(frozen=True)
@@ -104,27 +109,27 @@ class FkTable:
         s = np.asarray(s, dtype=np.float64)
         if self.kind == "exponential":
             return np.zeros_like(s)
-        idx = np.floor(s / self.span + 1e-9).astype(np.int64)
+        idx = lattice_site(s / self.span).astype(np.int64)
         if np.any(idx < 0) or np.any(idx >= self.values.size):
             raise ValueError("argument outside table horizon")
         c = math.factorial(self.k - 1) * self.mu ** (self.k - 1)
         return self.values[idx] - s ** (self.k - 1) / c
 
 
-def b2k(path: BmPath, fk: FkTable, t: float) -> float:
-    """sum_j f_k(t - x_j) dW_j; the step grid must sit on the path grid."""
+def _check_grid(fk: FkTable, h: float, t: float) -> None:
+    """A lattice weight must step on the path grid and cover [0, t]."""
     if fk.kind == "lattice":
-        ratio = fk.span / path.h
+        ratio = fk.span / h
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("grid mismatch: lattice span not a multiple of the path step")
         if fk.horizon + 1e-9 < t:
             raise ValueError("grid mismatch: table does not cover [0, t]")
-    m = _cells_below(path.h, t, path.horizon)
-    if m == 0:
-        return 0.0
-    dw = np.diff(path.values[: m + 1])
-    x = path.h * np.arange(m, dtype=np.float64)
-    return float(np.dot(fk.evaluate(t - x), dw))
+
+
+def b2k(path: BmPath, fk: FkTable, t: float) -> float:
+    """sum_j f_k(t - x_j) dW_j; the step grid must sit on the path grid."""
+    _check_grid(fk, path.h, t)
+    return _path_sum(path, t, fk.evaluate)
 
 
 def variance_b2k(fk: FkTable, n: float) -> float:
@@ -156,45 +161,33 @@ def variance_b2k(fk: FkTable, n: float) -> float:
 
 
 def b1k_ensemble(
-    k: int, t: float, h: float, replicas: int, stream: RngStream, block: int = 128
+    k: int, t: float, h: float, replicas: int, stream: RngStream, block: int = 128,
+    workers: int | None = None,
 ) -> np.ndarray:
-    """Independent B1 values from one stream, drawn block by block."""
-    m = int(round(t / h))
-    x = h * np.arange(m, dtype=np.float64)
-    weights = (t - x) ** (k - 1)
-    return _weighted_sums(weights, h, replicas, stream, block)
+    """Independent B1 values; see ``_weighted_sums`` for the streams."""
+    x = h * np.arange(int(round(t / h)), dtype=np.float64)
+    args = ((t - x) ** (k - 1), h, stream.seed, stream.index)
+    return map_blocks(_weighted_sums, replicas, block, workers, *args)
 
 
 def b2k_ensemble(
-    fk: FkTable, t: float, h: float, replicas: int, stream: RngStream, block: int = 128
+    fk: FkTable, t: float, h: float, replicas: int, stream: RngStream, block: int = 128,
+    workers: int | None = None,
 ) -> np.ndarray:
-    """Independent B2 values from one stream, drawn block by block."""
-    if fk.kind == "lattice":
-        ratio = fk.span / h
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("grid mismatch: lattice span not a multiple of the path step")
-        if fk.horizon + 1e-9 < t:
-            raise ValueError("grid mismatch: table does not cover [0, t]")
-    m = int(round(t / h))
-    x = h * np.arange(m, dtype=np.float64)
-    weights = fk.evaluate(t - x)
-    return _weighted_sums(weights, h, replicas, stream, block)
+    """Independent B2 values; see ``_weighted_sums`` for the streams."""
+    _check_grid(fk, h, t)
+    x = h * np.arange(int(round(t / h)), dtype=np.float64)
+    args = (fk.evaluate(t - x), h, stream.seed, stream.index)
+    return map_blocks(_weighted_sums, replicas, block, workers, *args)
 
 
-def _weighted_sums(
-    weights: np.ndarray, h: float, replicas: int, stream: RngStream, block: int
-) -> np.ndarray:
-    rng = stream.generator()
-    out = np.empty(replicas, dtype=np.float64)
-    sd = math.sqrt(h)
-    filled = 0
-    while filled < replicas:
-        b = min(block, replicas - filled)
-        dw = rng.normal(0.0, sd, (b, weights.size))
-        # per-row reduction instead of BLAS keeps results thread-count independent
-        out[filled : filled + b] = (dw * weights).sum(axis=1)
-        filled += b
-    return out
+def _weighted_sums(b: int, rows: range, weights, h: float, seed: int, index: int) -> np.ndarray:
+    """sum_j weights_j dW_j for each replica of block b, drawn on substream b
+    of (seed, index): block 0 repeats the stream's first draws."""
+    dw = RngStream(seed, index, b).generator().normal(0.0, math.sqrt(h), (len(rows), weights.size))
+    dw *= weights
+    # per-row reduction instead of BLAS keeps results thread-count independent
+    return dw.sum(axis=1)
 
 
 def discrete_variance(weights: np.ndarray, h: float) -> float:

@@ -48,13 +48,17 @@ class RenewalTable:
 
     def at(self, k: int, t: float) -> float:
         """V_k(t) for t in [0, horizon*d]; t within a relative 1e-9 of a site is on it."""
-        x = t / self.span
-        n = round(x)
-        if not math.isclose(x, n, rel_tol=1e-9, abs_tol=1e-9):
-            n = math.floor(x)
+        n = int(lattice_site(t / self.span))
         if n < 0 or n > self.horizon:
             raise ValueError(f"t={t} outside table horizon")
         return float(self.values[k - 1, n])
+
+
+def lattice_site(x):
+    """floor(x) for a time over a span, a float or an array, except that an x
+    within 1e-9 (1 + |x|) below a site is on it: the rounding of t / d grows
+    with the site index, past any fixed margin.  Returns floats."""
+    return (x + 1e-9 * (1.0 + abs(x))) // 1
 
 
 def _check_guard(levels: int, n: int, max_entries: int) -> None:

@@ -124,14 +124,20 @@ def sample_profiles(n: int, k_max: int, stream: RngStream, replicas: int) -> np.
     """
     if n < 1 or replicas < 1:
         raise ValueError("need n >= 1 and replicas >= 1")
-    rng = stream.generator()
-    u = rng.random((replicas, n))
-    levels = np.zeros((replicas, n + 1), dtype=np.int32)
-    rows = np.arange(replicas)
+    u = stream.generator().random((replicas, n))
+    u *= np.arange(1, n + 1)  # vertex m attaches to floor(u * m)
+    return _level_counts(u, k_max)
+
+
+def _level_counts(parents: np.ndarray, k_max: int) -> np.ndarray:
+    """Profiles X_n(1..k_max), one row per tree; vertex m of a tree attaches
+    to the vertex numbered by the integer part of its ``parents[:, m - 1]``."""
+    r, n = parents.shape
+    levels = np.zeros((r, n + 1), dtype=np.int32)
+    rows = np.arange(r)
     for m in range(1, n + 1):
-        parents = (u[:, m - 1] * m).astype(np.int64)
-        levels[:, m] = levels[rows, parents] + 1
-    out = np.empty((replicas, k_max), dtype=np.int64)
+        levels[:, m] = levels[rows, parents[:, m - 1].astype(np.int64)] + 1
+    out = np.empty((r, k_max), dtype=np.int64)
     for k in range(1, k_max + 1):
         out[:, k - 1] = (levels[:, 1:] == k).sum(axis=1)
     return out
@@ -141,8 +147,7 @@ def bernoulli_level1(n: int, stream: RngStream) -> int:
     """Sum of independent Bernoulli(1/j), j = 1..n: the level-1 count law."""
     if n < 1:
         raise ValueError("need n >= 1")
-    rng = stream.generator()
-    return int((rng.random(n) * np.arange(1, n + 1) < 1.0).sum())
+    return int(bernoulli_level1_sample(n, stream, 1)[0])
 
 
 def bernoulli_level1_sample(n: int, stream: RngStream, replicas: int) -> np.ndarray:
@@ -175,27 +180,28 @@ def enumerate_profiles(n: int, k_max: int | None = None) -> dict[tuple, float]:
     if n > MAX_ENUM_N:
         raise ValueError(f"enumeration capped at n = {MAX_ENUM_N}")
     k_eff = n if k_max is None else min(k_max, n)
-    total = math.factorial(n)
-    # mixed-radix decode: sequence id -> parent choice for each vertex
-    codes = np.arange(total, dtype=np.int64)
-    levels = np.zeros((total, n + 1), dtype=np.int8)
-    rows = np.arange(total)
-    stride = 1
-    for m in range(1, n + 1):
-        parents = (codes // stride) % m
-        levels[:, m] = levels[rows, parents] + 1
-        stride *= m
-    profiles = np.empty((total, k_eff), dtype=np.int64)
-    for k in range(1, k_eff + 1):
-        profiles[:, k - 1] = (levels[:, 1:] == k).sum(axis=1)
-    uniq, counts = np.unique(profiles, axis=0, return_counts=True)
-    return {tuple(int(x) for x in row): int(c) / total for row, c in zip(uniq, counts)}
+    # mixed-radix decode: sequence id -> parent choice (digit of base m) for each vertex m
+    codes = np.arange(math.factorial(n), dtype=np.int64)[:, None]
+    m = np.arange(1, n + 1)
+    strides = np.concatenate(([1], np.cumprod(m[:-1])))
+    return profile_pmf_from_samples(_level_counts(codes // strides % m, k_eff))
 
 
 def profile_pmf_from_samples(samples: np.ndarray) -> dict[tuple, float]:
-    """Empirical profile pmf from a (R, K) sample matrix."""
-    uniq, counts = np.unique(samples, axis=0, return_counts=True)
+    """Empirical profile pmf from a (R, K) integer sample matrix, ordered as
+    ``np.unique(axis=0)`` orders rows but ranked by one mixed-radix int64 key."""
     r = samples.shape[0]
+    # initial=0 keeps 0 inside each column's range, so no sample is a special case
+    lo = samples.min(axis=0, initial=0)
+    radix = (samples.max(axis=0, initial=0) - lo + 1).tolist()
+    if math.prod(radix) > np.iinfo(np.int64).max:
+        uniq, counts = np.unique(samples, axis=0, return_counts=True)
+    else:
+        key = np.zeros(r, dtype=np.int64)
+        for j, base in enumerate(radix):
+            key = key * base + (samples[:, j] - lo[j])
+        _, first, counts = np.unique(key, return_index=True, return_counts=True)
+        uniq = samples[first]
     return {tuple(int(x) for x in row): int(c) / r for row, c in zip(uniq, counts)}
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats as sp_stats
 
 from . import cmj, gauss, renewal, rrt
-from .dist import STREAM_BLOCK, LatticeLaw, RngStream, SmoothLaw, geometric_lattice
+from .dist import STREAM_BLOCK, LatticeLaw, RngStream, SmoothLaw, geometric_lattice, map_blocks
 
 #: Disjoint stream-index blocks, one per stochastic check.
 _BLOCKS = {
@@ -271,12 +271,9 @@ def check_rrt(seed: int, workers: int | None = None) -> list[CheckResult]:
     out = []
     # (a) total variation of the Yule-grown profile law at n = 6
     exact = rrt.enumerate_profiles(6)
-    reps = 100_000
-    samples = np.empty((reps, 6), dtype=np.int64)
-    base = _offset("c7a")
-    for r in range(reps):
-        samples[r] = rrt.grow_yule(6, 6, RngStream(seed, base + r)).counts(6)
+    samples = map_blocks(_yule_profiles, 100_000, 1000, workers, 6, seed, _offset("c7a"))
     tv = rrt.total_variation(rrt.profile_pmf_from_samples(samples), exact)
+    del samples  # freed before (b) draws its 100k x 50 uniforms, the peak of the check
     out.append(CheckResult("c7_profile_tv", tv < 0.02, tv, 0.0, 0.02, "mc vs enumeration"))
 
     # (b) two-sample chi-square for the level-1 count at n = 50
@@ -297,6 +294,12 @@ def check_rrt(seed: int, workers: int | None = None) -> list[CheckResult]:
         CheckResult("c7_level1_mean", dev <= 4.0, dev, 0.0, "4 standard errors", "mc")
     )
     return out
+
+
+def _yule_profiles(b: int, trees: range, n: int, seed: int, index: int) -> np.ndarray:
+    """Profiles of Yule-grown trees with n vertices, grown in turn on substream b."""
+    stream = RngStream(seed, index, b)
+    return np.array([rrt.grow_yule(n, n, stream).counts(n) for _ in trees])
 
 
 def _chi2_two_sample(x: np.ndarray, y: np.ndarray, min_pooled: int = 25) -> float:
@@ -327,7 +330,8 @@ def check_gauss(seed: int, workers: int | None = None) -> list[CheckResult]:
     """Variance identities for the weighted Brownian sums."""
     out = []
     # (a) Var B1 at k=2, t=10 is t^3/3
-    values = gauss.b1k_ensemble(2, 10.0, 0.01, 10_000, RngStream(seed, _offset("c8a")))
+    stream = RngStream(seed, _offset("c8a"))
+    values = gauss.b1k_ensemble(2, 10.0, 0.01, 10_000, stream, workers=workers)
     var = float(values.var(ddof=1))
     target = 1000.0 / 3.0
     dev = abs(var / target - 1.0)
@@ -348,7 +352,8 @@ def check_gauss(seed: int, workers: int | None = None) -> list[CheckResult]:
     table = renewal.renewal_table(law, 1, 100)
     fk2 = gauss.FkTable.from_renewal(table, 2)
     target_var = gauss.variance_b2k(fk2, 100.0)
-    values = gauss.b2k_ensemble(fk2, 100.0, 0.005, 10_000, RngStream(seed, _offset("c8c")))
+    stream = RngStream(seed, _offset("c8c"))
+    values = gauss.b2k_ensemble(fk2, 100.0, 0.005, 10_000, stream, workers=workers)
     var2 = float(values.var(ddof=1))
     dev2 = abs(var2 / target_var - 1.0)
     out.append(

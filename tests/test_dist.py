@@ -13,6 +13,7 @@ from iterlog.dist import (
     format_law,
     geometric_lattice,
     lattice_span_check,
+    map_blocks,
     moments,
     parse_law,
     sample,
@@ -102,6 +103,37 @@ def test_sample_stream_is_stateful():
     second = sample(law, stream, 10)
     combined = sample(law, RngStream(3, 0), 20)
     assert np.array_equal(np.concatenate([first, second]), combined)
+
+
+def test_substream_zero_is_the_stream():
+    first = RngStream(42, 7).generator().random(1000)
+    assert np.array_equal(RngStream(42, 7, 0).generator().random(1000), first)
+
+
+def test_substreams_differ_from_each_other_and_from_other_indices():
+    one = RngStream(42, 7, 1).generator().random(1000)
+    assert not np.array_equal(one, RngStream(42, 7).generator().random(1000))
+    assert not np.array_equal(one, RngStream(42, 8).generator().random(1000))
+    assert not np.array_equal(one, RngStream(42, 7, 2).generator().random(1000))
+    assert np.array_equal(one, RngStream(42, 7, 1).generator().random(1000))
+    with pytest.raises(ValueError, match="substream"):
+        RngStream(42, 7, -1)
+
+
+def _tagged_rows(b, rows, seed):
+    # (block, replica, first uniform of the block's substream) for each replica
+    u = RngStream(seed, 0, b).generator().random()
+    return np.array([(b, r, u) for r in rows])
+
+
+@pytest.mark.parametrize("total, block", [(1000, 128), (200, 1), (64, 64), (5, 128)])
+def test_map_blocks_rows_in_replica_order(total, block):
+    serial = map_blocks(_tagged_rows, total, block, 1, 3)
+    assert serial.shape == (total, 3)
+    assert np.array_equal(serial[:, 1], np.arange(total))
+    assert np.array_equal(serial[:, 0], np.arange(total) // block)
+    pooled = map_blocks(_tagged_rows, total, block, 2, 3)
+    assert np.array_equal(serial, pooled)
 
 
 def test_exponential_mean_law_of_large_numbers():

@@ -20,6 +20,7 @@ from iterlog.gauss import (
     variance_b2k,
 )
 from iterlog.renewal import renewal_table
+from iterlog.verify import check_gauss
 
 UNIT = LatticeLaw(1.0, np.array([1.0]))
 GEOM = geometric_lattice(0.5)
@@ -159,6 +160,59 @@ def test_variance_b2k_exactness_property(weights, k):
     riemann = float(np.sum(fk.evaluate(xs) ** 2) * 2e-4)
     exact = variance_b2k(fk, 15.0)
     assert exact == pytest.approx(riemann, rel=2e-3, abs=2e-3)
+
+
+def _ensembles(replicas, stream, workers, block=128):
+    fk = FkTable.from_renewal(renewal_table(GEOM, 1, 20), 2)
+    b1 = b1k_ensemble(2, 10.0, 0.05, replicas, stream, block, workers)
+    b2 = b2k_ensemble(fk, 10.0, 0.05, replicas, stream, block, workers)
+    return b1, b2
+
+
+def test_ensembles_independent_of_worker_count():
+    # 1000 replicas in blocks of 128 leave a ragged last block of 104
+    serial = _ensembles(1000, RngStream(11, 3), workers=1)
+    pooled = _ensembles(1000, RngStream(11, 3), workers=2)
+    for a, b in zip(serial, pooled):
+        assert a.shape == (1000,)
+        assert np.array_equal(a, b)
+
+
+def test_ensemble_block_zero_is_the_stream_prefix():
+    t, h = 10.0, 0.05
+    weights = (t - h * np.arange(200)) ** 1
+    dw = RngStream(11, 3).generator().normal(0.0, math.sqrt(h), (128, 200))
+    b1, _ = _ensembles(1000, RngStream(11, 3), workers=2)
+    assert np.array_equal(b1[:128], (dw * weights).sum(axis=1))
+
+
+def test_ensemble_blocks_draw_distinct_substreams():
+    b1, b2 = _ensembles(256, RngStream(11, 3), workers=1)
+    next_index, _ = _ensembles(256, RngStream(11, 4), workers=1)
+    assert not np.any(b1[128:] == b1[:128])
+    assert not np.any(b1[128:] == next_index[:128])
+    # the block size fixes the values: rows past the first block move with it
+    small, _ = _ensembles(256, RngStream(11, 3), workers=1, block=64)
+    assert np.array_equal(small[:64], b1[:64])
+    assert not np.array_equal(small[64:128], b1[64:128])
+
+
+def test_check_gauss_independent_of_worker_count():
+    serial = [r.to_dict() for r in check_gauss(3, workers=1)]
+    assert serial == [r.to_dict() for r in check_gauss(3, workers=2)]
+
+
+def test_sites_at_non_unit_span():
+    # sites accumulated by repeated addition of a span of 0.7 drift below
+    # n * 0.7 by more than 1e-9 / 0.7 from n = 7299 on; they still sit on site n
+    n = 10_000
+    sites = np.cumsum(np.full(n, 0.7))
+    fk = FkTable.from_renewal(renewal_table(LatticeLaw(0.7, np.array([1.0])), 1, n), 2)
+    assert np.max(np.abs(fk.evaluate(sites))) < 1e-6  # f_2 = V_1(t) - t / 0.7 on sites
+    path = sample_bm(n * 0.7, 0.7, RngStream(12, 0))
+    assert [b1k(path, 1, t) for t in sites] == path.values[1:].tolist()
+    with pytest.raises(ValueError, match="horizon"):
+        b1k(path, 1, n * 0.7 + 0.35)
 
 
 def test_bm_path_validation():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iterlog.dist import RngStream
+from iterlog.verify import check_rrt
 from iterlog.rrt import (
     bernoulli_level1,
     bernoulli_level1_sample,
@@ -108,6 +109,29 @@ def test_yule_law_vs_enumeration():
         rows[r] = grow_yule(5, 5, RngStream(31, r)).counts(5)
     tv = total_variation(profile_pmf_from_samples(rows), exact)
     assert tv < 0.04
+
+
+def _pmf_by_unique_rows(samples):
+    uniq, counts = np.unique(samples, axis=0, return_counts=True)
+    r = samples.shape[0]
+    return {tuple(int(x) for x in row): int(c) / r for row, c in zip(uniq, counts)}
+
+
+@pytest.mark.parametrize("low, high", [(0, 7), (-3, 4), (0, 2**20)])
+def test_profile_pmf_matches_unique_rows(low, high):
+    # the last case has a key space past int64 and takes the fallback
+    samples = np.random.default_rng(5).integers(low, high, (3000, 4))
+    samples[:1000] = samples[0]
+    pmf = profile_pmf_from_samples(samples)
+    expected = _pmf_by_unique_rows(samples)
+    assert pmf == expected
+    assert list(pmf) == list(expected)
+    assert profile_pmf_from_samples(samples[:0]) == {}
+
+
+def test_check_rrt_independent_of_worker_count():
+    serial = [r.to_dict() for r in check_rrt(3, workers=1)]
+    assert serial == [r.to_dict() for r in check_rrt(3, workers=2)]
 
 
 def test_yule_epochs():
