@@ -10,9 +10,7 @@ from .dist import (
     SmoothLaw,
     geometric_lattice,
     lattice_span_check,
-    moments,
     parse_law,
-    sample,
 )
 from .renewal import (
     AsymptoticConstants,

@@ -4,9 +4,10 @@ Each individual born at time s produces offspring at s + S_n, the points of
 an independent copy of the walk, or at s + S_{n-1} + eta_n for a perturbed
 walk; Y_k(t) counts generation-k births in [0, t].  One kernel draws every
 generation: generation 1 is the offspring of a root at time 0, and only
-births inside [0, t] are materialized.  Replicas are simulated on private
-random streams and dispatched by ``dist.map_blocks``, so ensembles are
-reproducible under any parallel schedule.
+births inside [0, t] are materialized.  An ensemble simulates a block of
+replicas per kernel call, every birth labelled with its replica; block b
+draws from substream b of one stream, and ``dist.map_blocks`` dispatches
+the blocks, so ensembles are reproducible under any parallel schedule.
 """
 
 from __future__ import annotations
@@ -101,69 +102,116 @@ def _children(
     xi: Law,
     eta: Law | None,
     parents: np.ndarray,
+    owners: np.ndarray,
     t: float,
-    mu: float,
-) -> np.ndarray:
-    """Birth times in [0, t] of every child of every parent.
+    m: Moments,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Birth times in [0, t] of every child of every parent, with their owners.
 
     A parent born at s starts the walk s + S_n; its children are born at
-    s + S_n, or at s + S_{n-1} + eta_n when eta is given.  Each live walk
-    draws one block per round, sized to overshoot its own remaining horizon
-    with high probability, and one flat cumsum rebased per walk places the
-    whole round.  Walks still at or below t start another round.
+    s + S_n, or at s + S_{n-1} + eta_n when eta is given, and inherit the
+    parent's owner label.  Each round, a live walk with remaining horizon r
+    draws floor(r/mu + 2 sigma sqrt(r/mu^3)) + 2 steps (the mean step
+    count plus two standard deviations, so a deterministic law finishes in
+    one round), and one flat cumsum rebased per walk places the whole
+    round.  Walks still at or below t start another round.
     """
-    origins = np.asarray(parents, dtype=np.float64)
-    chunks = []
-    while origins.size:
-        sizes = np.maximum(16, (1.25 * (t - origins) / mu).astype(np.int64) + 8)
+    births, labels = [], []
+    while parents.size:
+        steps = (t - parents) / m.mean
+        sizes = (steps + (2.0 * m.sigma / m.mean) * np.sqrt(steps)).astype(np.int64) + 2
         ends = np.cumsum(sizes)
         pos = np.cumsum(xi.sample(rng, int(ends[-1])))
-        pos += np.repeat(origins - np.concatenate(([0.0], pos[ends[:-1] - 1])), sizes)
+        pos += np.repeat(parents - np.concatenate(([0.0], pos[ends[:-1] - 1])), sizes)
         if eta is None:
-            births = pos
+            born = pos
         else:
             prev = np.empty_like(pos)
             prev[1:] = pos[:-1]
-            prev[ends - sizes] = origins
-            births = prev + eta.sample(rng, pos.size)
-        chunks.append(births[births <= t])
+            prev[ends - sizes] = parents
+            born = prev + eta.sample(rng, pos.size)
+        inside = born <= t
+        births.append(born[inside])
+        labels.append(np.repeat(owners, sizes)[inside])
         last = pos[ends - 1]
-        origins = last[last <= t]
-    return np.concatenate(chunks) if chunks else np.empty(0)
+        live = last <= t
+        parents, owners = last[live], owners[live]
+    if not births:
+        return np.empty(0), np.empty(0, dtype=np.int64)
+    return np.concatenate(births), np.concatenate(labels)
 
 
-def _is_exponential(law: Law) -> bool:
-    return isinstance(law, SmoothLaw) and law.family == "exp"
+def _poisson_last(config: SimConfig) -> bool:
+    """Whether the last generation is drawn, not walked: for an exponential
+    standard walk its count is Poisson(rate * sum_r (t - s_r)) over the
+    parents s_r (Poisson superposition), an exact shortcut."""
+    law = config.law
+    exponential = isinstance(law, SmoothLaw) and law.family == "exp"
+    return config.levels > 1 and config.grid is None and config.eta is None and exponential
+
+
+#: Walked draws a block of replicas aims at, so its arrays stay near 512 KiB.
+BLOCK_DRAWS = 1 << 16
+#: Most replicas in one block.
+MAX_BLOCK = 64
+
+
+def _block_size(config: SimConfig) -> int:
+    """Replicas per block: BLOCK_DRAWS over the expected walked births of a
+    replica, clamped to [1, MAX_BLOCK]."""
+    mu = config.law.moments().mean
+    walked = config.levels - _poisson_last(config)
+    births = sum(leading_term(k, mu, config.horizon) for k in range(1, walked + 1))
+    return min(MAX_BLOCK, max(1, int(BLOCK_DRAWS / births)))
+
+
+def _simulate_block(
+    config: SimConfig, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray | None, list[np.ndarray] | None]:
+    """Simulate n replicas from one generator.
+
+    Returns counts (n, K), paths (n, K, grid size) when the config has a
+    grid, and each replica's level-1 birth times (in draw order, which is
+    time order for a standard walk) when it retains them.  Every birth carries the index of its replica, so one
+    bincount per generation yields the counts of the whole block.
+    """
+    t, law, eta, grid = config.horizon, config.law, config.eta, config.grid
+    m = law.moments()
+    poisson_last = _poisson_last(config)
+    counts = np.zeros((n, config.levels), dtype=np.int64)
+    paths = None if grid is None else np.zeros((n, config.levels, grid.size), dtype=np.int64)
+    gen, owners = np.zeros(n), np.arange(n)
+    gen1 = None
+    for k in range(config.levels - poisson_last):
+        gen, owners = _children(rng, law, eta, gen, owners, t, m)
+        counts[:, k] = np.bincount(owners, minlength=n)
+        if paths is not None:
+            # cell j of a replica holds its births in (grid[j-1], grid[j]]
+            cells = owners * (grid.size + 1) + np.searchsorted(grid, gen)
+            per_cell = np.bincount(cells, minlength=n * (grid.size + 1)).reshape(n, -1)
+            paths[:, k] = np.cumsum(per_cell, axis=1)[:, :-1]
+        if k == 0 and config.retain_gen1:
+            order = np.argsort(owners, kind="stable")
+            gen1 = np.split(gen[order], np.cumsum(counts[:-1, 0]))
+    if poisson_last:
+        exposure = np.bincount(owners, weights=t - gen, minlength=n)
+        counts[:, -1] = rng.poisson(law.params["rate"] * exposure)
+    return counts, paths, gen1
 
 
 def simulate_generations(config: SimConfig, replica: int) -> SimOutcome:
     """Simulate one replica: counts Y_k(t) for k = 1..K, optional path/times.
 
+    The replica is a block of one on stream (seed, stream_offset + replica).
     Generation 1 is the offspring of one root at time 0, and every
     generation is the offspring of the one before, so only births inside
-    [0, t] are materialized.  For the final generation (k >= 2) of an
-    exponential standard walk the counts are drawn directly (the number of
-    walk points in a window of length w is Poisson(rate * w)), which is an
-    exact shortcut, not an approximation.
+    [0, t] are materialized.
     """
     rng = RngStream(config.seed, config.stream_offset + replica).generator()
-    t, law, eta, grid = config.horizon, config.law, config.eta, config.grid
-    mu = law.moments().mean
-    counts = np.zeros(config.levels, dtype=np.int64)
-    path = None if grid is None else np.zeros((config.levels, grid.size), dtype=np.int64)
-    poisson_last = config.levels > 1 and path is None and eta is None and _is_exponential(law)
-    gen = np.zeros(1)
-    gen1 = None
-    for k in range(config.levels - poisson_last):
-        gen = _children(rng, law, eta, gen, t, mu)
-        counts[k] = gen.size
-        if path is not None:
-            path[k] = np.searchsorted(np.sort(gen), grid, side="right")
-        if k == 0 and config.retain_gen1:
-            gen1 = gen
-    if poisson_last:
-        counts[-1] = rng.poisson((t - gen) * law.params["rate"]).sum()
-    return SimOutcome(counts, path, gen1)
+    counts, paths, gen1 = _simulate_block(config, 1, rng)
+    return SimOutcome(
+        counts[0], None if paths is None else paths[0], None if gen1 is None else gen1[0]
+    )
 
 
 def _power(t: float, exponent: float) -> float:
@@ -282,8 +330,14 @@ class MonteCarloSummary:
         return d
 
 
-def _count_rows(block: int, replicas: range, config: SimConfig) -> np.ndarray:
-    return np.array([simulate_generations(config, r).counts for r in replicas])
+def _block(config: SimConfig, b: int, replicas: range):
+    """Block b of an ensemble, simulated on substream b of (seed, stream_offset)."""
+    rng = RngStream(config.seed, config.stream_offset, substream=b).generator()
+    return _simulate_block(config, len(replicas), rng)
+
+
+def _count_rows(b: int, replicas: range, config: SimConfig) -> np.ndarray:
+    return _block(config, b, replicas)[0]
 
 
 def monte_carlo(
@@ -293,12 +347,13 @@ def monte_carlo(
 ) -> MonteCarloSummary:
     """Run the ensemble and reduce it; a pure function of (config, seed).
 
-    Replica r always owns stream (seed, stream_offset + r), so the summary
-    is identical under any worker count or scheduling order.
+    Replicas run in blocks of ``_block_size(config)``; block b always owns
+    substream b of stream (seed, stream_offset), so the summary is
+    identical under any worker count or scheduling order.
     """
     if config.replicas < 2:
         raise ValueError("ensemble needs at least two replicas")
-    counts = map_blocks(_count_rows, config.replicas, 1, workers, config)
+    counts = map_blocks(_count_rows, config.replicas, _block_size(config), workers, config)
     m = config.law.moments()
     t = config.horizon
     ks = range(1, config.levels + 1)
@@ -314,10 +369,13 @@ def monte_carlo(
     return MonteCarloSummary(config, counts, means, variances, clt, lil, centers)
 
 
-def _decomposition_rows(block: int, replicas: range, config: SimConfig, k: int, v_eval) -> np.ndarray:
-    sims = (simulate_generations(config, r) for r in replicas)
+def _decomposition_rows(b: int, replicas: range, config: SimConfig, k: int, v_eval) -> np.ndarray:
+    counts, _, gen1 = _block(config, b, replicas)
     t = config.horizon
-    parts = (decompose_fluctuation(s.gen1_times, float(s.counts[k - 1]), k, t, v_eval) for s in sims)
+    parts = (
+        decompose_fluctuation(times, float(yk), k, t, v_eval)
+        for times, yk in zip(gen1, counts[:, k - 1])
+    )
     return np.array([astuple(p) for p in parts])
 
 
@@ -327,9 +385,14 @@ def decomposition_ensemble(
     v_eval: "RenewalTable | ExponentialRenewal",
     workers: int | None = None,
 ) -> np.ndarray:
-    """Per-replica (I_k, J_k, Y_k - V_k) rows, replicas in index order."""
+    """Per-replica (I_k, J_k, Y_k - V_k) rows, replicas in index order.
+
+    Blocks and substreams are those of ``monte_carlo``.
+    """
     if not config.retain_gen1:
         config = replace(config, retain_gen1=True)
     if k < 2 or k > config.levels:
         raise ValueError("decomposition level must satisfy 2 <= k <= K")
-    return map_blocks(_decomposition_rows, config.replicas, 1, workers, config, k, v_eval)
+    return map_blocks(
+        _decomposition_rows, config.replicas, _block_size(config), workers, config, k, v_eval
+    )

@@ -61,6 +61,9 @@ class LatticeLaw:
 
     span: float
     pmf: np.ndarray
+    #: All lattice sites {d, 2d, ..., Md}, including zero-mass ones.
+    support: np.ndarray = field(init=False, repr=False)
+    _cdf: np.ndarray = field(init=False, repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, LatticeLaw):
@@ -84,11 +87,9 @@ class LatticeLaw:
             raise ValueError("empty law")
         if not lattice_span_check(support):
             raise ValueError("span is not maximal: support indices share a common factor")
-
-    @property
-    def support(self) -> np.ndarray:
-        """All lattice sites {d, 2d, ..., Md}, including zero-mass ones."""
-        return self.span * np.arange(1, self.pmf.size + 1, dtype=np.float64)
+        # sampling tables, built once: every site and the cdf that indexes it
+        object.__setattr__(self, "support", self.span * np.arange(1, pmf.size + 1, dtype=np.float64))
+        object.__setattr__(self, "_cdf", np.cumsum(pmf))
 
     def moments(self) -> Moments:
         m = np.arange(1, self.pmf.size + 1, dtype=np.float64)
@@ -101,9 +102,8 @@ class LatticeLaw:
             raise ValueError("sample size must be nonnegative")
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        cum = np.cumsum(self.pmf)
-        idx = np.searchsorted(cum, rng.random(n), side="right")
-        # A pmf truncated just below mass 1 can push a uniform past cum[-1].
+        idx = np.searchsorted(self._cdf, rng.random(n), side="right")
+        # A pmf truncated just below mass 1 can push a uniform past _cdf[-1].
         np.clip(idx, 0, self.pmf.size - 1, out=idx)
         return self.support[idx]
 
@@ -161,16 +161,6 @@ class SmoothLaw:
 
 
 Law = LatticeLaw | SmoothLaw
-
-
-def moments(law: Law) -> Moments:
-    """Exact closed-form mean / second moment / variance of a law."""
-    return law.moments()
-
-
-def sample(law: Law, stream: "RngStream", n: int) -> np.ndarray:
-    """Draw n i.i.d. values from the stream's generator (stateful)."""
-    return law.sample(stream.generator(), n)
 
 
 def geometric_lattice(p: float, span: float = 1.0) -> LatticeLaw:

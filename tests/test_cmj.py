@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from iterlog import cmj
 from iterlog.cmj import (
     SimConfig,
     center_value,
@@ -15,7 +16,7 @@ from iterlog.cmj import (
     monte_carlo,
     simulate_generations,
 )
-from iterlog.dist import LatticeLaw, SmoothLaw, geometric_lattice
+from iterlog.dist import LatticeLaw, RngStream, SmoothLaw, geometric_lattice
 from iterlog.renewal import ExponentialRenewal, leading_term, renewal_table
 
 EXP1 = SmoothLaw("exp", {"rate": 1.0})
@@ -235,3 +236,107 @@ def test_degenerate_law_has_no_statistics():
     assert summary.clt is None
     assert summary.lil is None
     assert summary.means[0] == 10.0
+
+
+# Block configs: (config, block size).  A ragged last block in each; the
+# second walks three generations with eta and a grid, the third retains
+# its level-1 times.
+BLOCK_CONFIGS = [
+    (SimConfig(EXP1, levels=2, horizon=30.0, seed=5, replicas=150), 64),
+    (
+        SimConfig(
+            GEOM, levels=3, horizon=30.0, eta=GEOM, grid=np.linspace(0.0, 30.0, 7),
+            seed=5, replicas=100, stream_offset=3,
+        ),
+        64,
+    ),
+    (SimConfig(EXP1, levels=3, horizon=20.0, seed=6, replicas=100, retain_gen1=True), 64),
+    (SimConfig(GEOM, levels=3, horizon=60.0, seed=7, replicas=40), 13),
+]
+
+
+@pytest.mark.parametrize("config, block", BLOCK_CONFIGS)
+def test_block_size_from_config(config, block):
+    assert cmj._block_size(config) == block
+
+
+def test_block_size_near_population_cap():
+    # lattice walks materialize every level: about 9.9e6 births per replica
+    config = SimConfig(GEOM, levels=2, horizon=8900.0, seed=0)
+    assert config.population_cap == 1e7
+    assert cmj._block_size(config) == 1
+    # so does an exponential walk with a grid (no Poisson last generation)
+    grid = np.array([0.0, 4400.0])
+    assert cmj._block_size(SimConfig(EXP1, levels=2, horizon=4400.0, grid=grid)) == 1
+
+
+@pytest.mark.parametrize("config, block", BLOCK_CONFIGS[:3])
+def test_ensembles_independent_of_worker_count(config, block):
+    runs = [monte_carlo(config, workers=w).counts for w in (1, 2, 8)]
+    assert runs[0].shape == (config.replicas, config.levels)
+    assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+    # block b is drawn from substream b of (seed, stream_offset)
+    for b in (0, 1):
+        rows = range(config.replicas)[b * block : (b + 1) * block]
+        rng = RngStream(config.seed, config.stream_offset, b).generator()
+        counts, _, _ = cmj._simulate_block(config, len(rows), rng)
+        assert np.array_equal(runs[0][rows], counts)
+    if config.law == EXP1:
+        v_eval = ExponentialRenewal(1.0)
+        parts = [decomposition_ensemble(config, 2, v_eval, workers=w) for w in (1, 2, 8)]
+        assert parts[0].shape == (config.replicas, 3)
+        assert np.array_equal(parts[0], parts[1]) and np.array_equal(parts[0], parts[2])
+        assert np.array_equal(parts[0][:, 2], runs[0][:, 1] - v_eval.at(2, config.horizon))
+
+
+def test_block_paths_recount_each_replica(monkeypatch):
+    base, _ = BLOCK_CONFIGS[1]
+    config = SimConfig(
+        base.law, levels=3, horizon=base.horizon, eta=base.eta, grid=base.grid,
+        seed=11, retain_gen1=True,
+    )
+    kernel, drawn = cmj._children, []
+
+    def spy(*args):
+        out = kernel(*args)
+        drawn.append(out)
+        return out
+
+    monkeypatch.setattr(cmj, "_children", spy)
+    n = 20
+    counts, paths, gen1 = cmj._simulate_block(config, n, RngStream(11, 0).generator())
+    assert paths.shape == (n, 3, config.grid.size) and len(drawn) == 3
+    for r in range(n):
+        times = np.sort(gen1[r])
+        assert np.array_equal(paths[r, 0], np.searchsorted(times, config.grid, side="right"))
+        for k, (births, owners) in enumerate(drawn):
+            mine = np.sort(births[owners == r])
+            assert mine.size == counts[r, k]
+            assert np.array_equal(paths[r, k], np.searchsorted(mine, config.grid, side="right"))
+    assert np.array_equal(paths[:, :, -1], counts)
+
+
+@pytest.mark.parametrize("law, levels, t", [(GEOM, 3, 60.0), (EXP1, 2, 400.0)])
+def test_retained_times_per_replica(law, levels, t):
+    # at t = 400 some level-1 walks take a second round, so a replica's
+    # births are not contiguous until they are sorted by replica
+    config = SimConfig(law, levels=levels, horizon=t, seed=3, retain_gen1=True)
+    n = cmj._block_size(config) + 3
+    counts, _, gen1 = cmj._simulate_block(config, n, RngStream(3, 0).generator())
+    assert len(gen1) == n
+    assert [times.size for times in gen1] == list(counts[:, 0])
+    for times in gen1:
+        assert np.all(np.diff(times) > 0)
+        assert times.size == 0 or (times[0] > 0 and times[-1] <= t)
+
+
+def test_exponential_means_four_sigma_gate():
+    # E Y_k(t) = t^k / k! for the unit exponential; level 3 is drawn by
+    # Poisson superposition over each replica's level-2 births
+    t = 30.0
+    config = SimConfig(EXP1, levels=3, horizon=t, seed=27, replicas=4_000)
+    assert cmj._poisson_last(config)
+    summary = monte_carlo(config, workers=1)
+    for k in (1, 2, 3):
+        se = math.sqrt(summary.variances[k - 1] / config.replicas)
+        assert abs(summary.means[k - 1] - t**k / math.factorial(k)) <= 4.0 * se

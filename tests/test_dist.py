@@ -14,24 +14,22 @@ from iterlog.dist import (
     geometric_lattice,
     lattice_span_check,
     map_blocks,
-    moments,
     parse_law,
-    sample,
 )
 
 
 def test_exponential_moments():
-    m = moments(SmoothLaw("exp", {"rate": 1.0}))
+    m = SmoothLaw("exp", {"rate": 1.0}).moments()
     assert m.mean == 1.0
     assert m.second_moment == 2.0
     assert m.variance == 1.0
 
 
 def test_gamma_and_uniform_moments():
-    m = moments(SmoothLaw("gamma", {"shape": 2.0, "rate": 1.0}))
+    m = SmoothLaw("gamma", {"shape": 2.0, "rate": 1.0}).moments()
     assert m.mean == 2.0
     assert m.second_moment == 6.0
-    m = moments(SmoothLaw("unif", {"lo": 0.5, "hi": 1.5}))
+    m = SmoothLaw("unif", {"lo": 0.5, "hi": 1.5}).moments()
     assert m.mean == 1.0
     assert abs(m.variance - 1.0 / 12.0) < 1e-15
 
@@ -40,14 +38,14 @@ def test_geometric_moments_against_partial_sums():
     # oracle: partial sums of k (1/2)^k and k^2 (1/2)^k to machine precision
     mean_oracle = math.fsum(k * 0.5**k for k in range(1, 200))
     second_oracle = math.fsum(k * k * 0.5**k for k in range(1, 200))
-    m = moments(geometric_lattice(0.5))
+    m = geometric_lattice(0.5).moments()
     assert abs(m.mean - mean_oracle) < 1e-11
     assert abs(m.second_moment - second_oracle) < 1e-10
     assert abs(m.variance - 2.0) < 1e-10
 
 
 def test_point_mass_moments():
-    m = moments(LatticeLaw(1.0, np.array([1.0])))
+    m = LatticeLaw(1.0, np.array([1.0])).moments()
     assert m.mean == 1.0
     assert m.variance == 0.0
 
@@ -73,16 +71,16 @@ def test_lattice_law_validation():
 
 def test_sample_empty_and_point_mass():
     stream = RngStream(1, 0)
-    assert sample(SmoothLaw("exp", {"rate": 1.0}), stream, 0).size == 0
-    draws = sample(LatticeLaw(1.0, np.array([1.0])), RngStream(1, 1), 3)
+    assert SmoothLaw("exp", {"rate": 1.0}).sample(stream.generator(), 0).size == 0
+    draws = LatticeLaw(1.0, np.array([1.0])).sample(RngStream(1, 1).generator(), 3)
     assert np.array_equal(draws, [1.0, 1.0, 1.0])
 
 
 def test_sample_reproducible_and_stream_independent():
     law = SmoothLaw("exp", {"rate": 2.0})
-    a = sample(law, RngStream(42, 7), 100)
-    b = sample(law, RngStream(42, 7), 100)
-    c = sample(law, RngStream(42, 8), 100)
+    a = law.sample(RngStream(42, 7).generator(), 100)
+    b = law.sample(RngStream(42, 7).generator(), 100)
+    c = law.sample(RngStream(42, 8).generator(), 100)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -90,8 +88,8 @@ def test_sample_reproducible_and_stream_independent():
 def test_sample_schedule_independent():
     # drawing replica streams in any order yields identical per-stream values
     law = geometric_lattice(0.5)
-    forward = {i: sample(law, RngStream(9, i), 50) for i in range(5)}
-    backward = {i: sample(law, RngStream(9, i), 50) for i in reversed(range(5))}
+    forward = {i: law.sample(RngStream(9, i).generator(), 50) for i in range(5)}
+    backward = {i: law.sample(RngStream(9, i).generator(), 50) for i in reversed(range(5))}
     for i in range(5):
         assert np.array_equal(forward[i], backward[i])
 
@@ -99,9 +97,9 @@ def test_sample_schedule_independent():
 def test_sample_stream_is_stateful():
     law = SmoothLaw("exp", {"rate": 1.0})
     stream = RngStream(3, 0)
-    first = sample(law, stream, 10)
-    second = sample(law, stream, 10)
-    combined = sample(law, RngStream(3, 0), 20)
+    first = law.sample(stream.generator(), 10)
+    second = law.sample(stream.generator(), 10)
+    combined = law.sample(RngStream(3, 0).generator(), 20)
     assert np.array_equal(np.concatenate([first, second]), combined)
 
 
@@ -137,14 +135,31 @@ def test_map_blocks_rows_in_replica_order(total, block):
 
 
 def test_exponential_mean_law_of_large_numbers():
-    draws = sample(SmoothLaw("exp", {"rate": 1.0}), RngStream(123, 0), 1_000_000)
+    draws = SmoothLaw("exp", {"rate": 1.0}).sample(RngStream(123, 0).generator(), 1_000_000)
     assert abs(draws.mean() - 1.0) < 0.005
 
 
 def test_lattice_samples_stay_on_support():
     law = geometric_lattice(0.5, span=0.25)
-    draws = sample(law, RngStream(5, 0), 10_000)
+    draws = law.sample(RngStream(5, 0).generator(), 10_000)
     assert set(np.unique(draws)) <= set(law.support)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [geometric_lattice(0.5, span=0.25), LatticeLaw(0.3, np.array([0.2, 0.0, 0.5, 0.3]))],
+)
+def test_lattice_sample_matches_tables_built_from_scratch(law):
+    # the cached cdf and sites draw exactly what fresh ones would
+    for seed in (0, 1):
+        u = RngStream(seed, 4).generator().random(10_000)
+        idx = np.searchsorted(np.cumsum(law.pmf), u, side="right")
+        expected = (law.span * np.arange(1, law.pmf.size + 1, dtype=np.float64))[idx]
+        assert np.array_equal(law.sample(RngStream(seed, 4).generator(), 10_000), expected)
+    rng = RngStream(9, 0).generator()
+    first, second = law.sample(rng, 64), law.sample(rng, 64)
+    both = law.sample(RngStream(9, 0).generator(), 128)
+    assert np.array_equal(np.concatenate([first, second]), both)
 
 
 @st.composite
@@ -173,7 +188,7 @@ def test_moment_identity_property(law):
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(lattice_laws(), st.integers(min_value=0, max_value=2**32))
 def test_lattice_sampling_support_property(law, seed):
-    draws = sample(law, RngStream(seed, 0), 500)
+    draws = law.sample(RngStream(seed, 0).generator(), 500)
     support = set(law.support[law.pmf > 0])
     assert set(np.unique(draws)) <= support
 
