@@ -56,9 +56,6 @@ class ExperimentConfig:
         return cls(**d)
 
 
-_DEFAULTS = ExperimentConfig("_")
-
-
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     """Merge CLI flags over config-file values over built-in defaults."""
     file_cfg = {}

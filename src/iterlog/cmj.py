@@ -17,11 +17,12 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .dist import Law, Moments, RngStream, SmoothLaw, map_blocks
+from .dist import LatticeLaw, Law, Moments, RngStream, SmoothLaw, map_blocks
 from .renewal import (
     AsymptoticConstants,
     ExponentialRenewal,
     RenewalTable,
+    lattice_site,
     leading_term,
     lil_constant,
     second_order,
@@ -55,6 +56,10 @@ class SimConfig:
             raise ValueError("need at least one replica")
         if self.center not in ("formula", "table"):
             raise ValueError("center mode must be 'formula' or 'table'")
+        if isinstance(self.law, LatticeLaw) and isinstance(self.eta, LatticeLaw):
+            ratio = self.eta.span / self.law.span
+            if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * ratio:
+                raise ValueError("a lattice eta needs a span that is a multiple of the step span")
         mu = self.law.moments().mean
         expected = sum(leading_term(k, mu, self.horizon) for k in range(1, self.levels + 1))
         if expected > self.population_cap:
@@ -174,8 +179,19 @@ def _simulate_block(
     grid, and each replica's level-1 birth times (in draw order, which is
     time order for a standard walk) when it retains them.  Every birth carries the index of its replica, so one
     bincount per generation yields the counts of the whole block.
+
+    A lattice walk (with a lattice eta or none) runs in site units, where a
+    birth is an integer, exact in float64, so none on a site rounds past the
+    horizon or a grid point; those become the sites they fall on.
     """
     t, law, eta, grid = config.horizon, config.law, config.eta, config.grid
+    d = 1.0
+    if isinstance(law, LatticeLaw) and (eta is None or isinstance(eta, LatticeLaw)):
+        d = law.span
+        law = LatticeLaw(1.0, law.pmf)
+        eta = None if eta is None else LatticeLaw(float(round(eta.span / d)), eta.pmf)
+        t = float(lattice_site(t / d))
+        grid = None if grid is None else lattice_site(grid / d)
     m = law.moments()
     poisson_last = _poisson_last(config)
     counts = np.zeros((n, config.levels), dtype=np.int64)
@@ -192,7 +208,7 @@ def _simulate_block(
             paths[:, k] = np.cumsum(per_cell, axis=1)[:, :-1]
         if k == 0 and config.retain_gen1:
             order = np.argsort(owners, kind="stable")
-            gen1 = np.split(gen[order], np.cumsum(counts[:-1, 0]))
+            gen1 = np.split(gen[order] * d, np.cumsum(counts[:-1, 0]))
     if poisson_last:
         exposure = np.bincount(owners, weights=t - gen, minlength=n)
         counts[:, -1] = rng.poisson(law.params["rate"] * exposure)

@@ -5,7 +5,8 @@ epochs tau_1 < ... < tau_n, so the tree holds n+1 vertices and the level
 counts satisfy sum_k X_n(k) = n.  Both growers produce the same profile
 law; the Yule grower additionally records the birth epochs, making the
 profile literally the generation count of the exponential branching
-process sampled at tau_n.
+process sampled at tau_n.  Every grower runs one level kernel on a block
+of trees; a single tree is row 0 of a block of one.
 """
 
 from __future__ import annotations
@@ -42,15 +43,14 @@ class ProfileTrace:
 
     def counts(self, k_max: int | None = None) -> np.ndarray:
         """Final level counts X_n(1..k_max)."""
-        k = self.max_level if k_max is None else k_max
-        return np.bincount(self.levels[1:], minlength=k + 1)[1 : k + 1].astype(np.int64)
+        return self.counts_at(self.n, k_max)
 
     def counts_at(self, m: int, k_max: int | None = None) -> np.ndarray:
         """Level counts after the first m non-root vertices."""
         if not 0 <= m <= self.n:
             raise ValueError("m outside growth history")
         k = self.max_level if k_max is None else k_max
-        return np.bincount(self.levels[1 : m + 1], minlength=k + 1)[1 : k + 1].astype(np.int64)
+        return _profiles(self.levels[None, : m + 1], k)[0]
 
     def history(self, k: int) -> np.ndarray:
         """X_m(k) for m = 0..n."""
@@ -81,23 +81,37 @@ class YuleClock:
         return n * math.exp(-float(self.epochs[-1]))
 
 
-def _build_levels(parents_u: np.ndarray) -> np.ndarray:
-    """Levels from uniform parent picks: vertex m attaches to floor(u_m * m)."""
-    n = parents_u.size
-    levels = np.zeros(n + 1, dtype=np.int64)
-    for m in range(1, n + 1):
-        parent = int(parents_u[m - 1] * m)
-        levels[m] = levels[parent] + 1
-    return levels
+def _levels(parents: np.ndarray) -> np.ndarray:
+    """Levels (rows, n+1), root in column 0, where vertex m of a row attaches to
+    ``int(parents[:, m-1])``, by pointer doubling: about log2(depth) rounds."""
+    rows, n = parents.shape
+    anc = np.zeros((rows, n + 1), dtype=np.int32)
+    anc[:, 1:] = parents
+    del parents  # callers pass a temporary: free it before the rounds
+    lv = np.ones_like(anc)
+    lv[:, 0] = 0
+    while anc.any():
+        lv += np.take_along_axis(lv, anc, axis=1)
+        anc = np.take_along_axis(anc, anc, axis=1)
+    return lv
+
+
+def _grow(n: int, rng: np.random.Generator, rows: int, yule: bool):
+    """Epochs cumsum(Exp(1)/m) (rows, n) if ``yule``, else None, then levels of
+    ``rows`` trees from one generator; vertex m attaches to floor(u * m)."""
+    if n < 1 or rows < 1:
+        raise ValueError("need n >= 1 and replicas >= 1")
+    m = np.arange(1, n + 1, dtype=np.float64)
+    epochs = np.cumsum(rng.exponential(1.0, (rows, n)) / m, axis=1) if yule else None
+    return epochs, _levels(
+        np.multiply(rng.random((rows, n)), m, out=np.empty((rows, n), np.int32), casting="unsafe")
+    )
 
 
 def grow_discrete(n: int, k_max: int, stream: RngStream) -> ProfileTrace:
     """Uniform attachment: vertex m+1 picks its parent uniformly among 1..m."""
-    if n < 1:
-        raise ValueError("need at least one non-root vertex")
-    rng = stream.generator()
-    levels = _build_levels(rng.random(n))
-    return ProfileTrace(levels, k_max)
+    levels = _grow(n, stream.generator(), 1, False)[1]
+    return ProfileTrace(levels[0].astype(np.int64), k_max)
 
 
 def grow_yule(n: int, k_max: int, stream: RngStream) -> ProfileTrace:
@@ -107,39 +121,24 @@ def grow_yule(n: int, k_max: int, stream: RngStream) -> ProfileTrace:
     the recorded epochs make the profile the branching-generation count
     sampled at tau_n.
     """
-    if n < 1:
-        raise ValueError("need at least one non-root vertex")
-    rng = stream.generator()
-    sizes = np.arange(1, n + 1, dtype=np.float64)
-    epochs = np.cumsum(rng.exponential(1.0, n) / sizes)
-    levels = _build_levels(rng.random(n))
-    return ProfileTrace(levels, k_max, epochs)
+    epochs, levels = _grow(n, stream.generator(), 1, True)
+    return ProfileTrace(levels[0].astype(np.int64), k_max, epochs[0])
 
 
-def sample_profiles(n: int, k_max: int, stream: RngStream, replicas: int) -> np.ndarray:
-    """Final profiles (X_n(1..k_max)) of many independent trees, one row each.
-
-    Batch variant used by the distributional gates; all trees share the
-    given stream, drawn in a fixed order.
-    """
-    if n < 1 or replicas < 1:
-        raise ValueError("need n >= 1 and replicas >= 1")
-    u = stream.generator().random((replicas, n))
-    u *= np.arange(1, n + 1)  # vertex m attaches to floor(u * m)
-    return _level_counts(u, k_max)
+def sample_profiles(
+    n: int, k_max: int, stream: RngStream, replicas: int, yule: bool = False
+) -> np.ndarray:
+    """Final profiles (X_n(1..k_max)) of many independent trees, one row each:
+    one block on the stream, drawn as ``grow_yule`` draws when ``yule`` (its
+    epochs then dropped), else as ``grow_discrete`` does."""
+    return _profiles(_grow(n, stream.generator(), replicas, yule)[1], k_max)
 
 
-def _level_counts(parents: np.ndarray, k_max: int) -> np.ndarray:
-    """Profiles X_n(1..k_max), one row per tree; vertex m of a tree attaches
-    to the vertex numbered by the integer part of its ``parents[:, m - 1]``."""
-    r, n = parents.shape
-    levels = np.zeros((r, n + 1), dtype=np.int32)
-    rows = np.arange(r)
-    for m in range(1, n + 1):
-        levels[:, m] = levels[rows, parents[:, m - 1].astype(np.int64)] + 1
-    out = np.empty((r, k_max), dtype=np.int64)
+def _profiles(levels: np.ndarray, k_max: int) -> np.ndarray:
+    """X_n(1..k_max), one row per row of a levels block."""
+    out = np.empty((levels.shape[0], k_max), dtype=np.int64)
     for k in range(1, k_max + 1):
-        out[:, k - 1] = (levels[:, 1:] == k).sum(axis=1)
+        out[:, k - 1] = (levels == k).sum(axis=1)
     return out
 
 
@@ -184,7 +183,7 @@ def enumerate_profiles(n: int, k_max: int | None = None) -> dict[tuple, float]:
     codes = np.arange(math.factorial(n), dtype=np.int64)[:, None]
     m = np.arange(1, n + 1)
     strides = np.concatenate(([1], np.cumprod(m[:-1])))
-    return profile_pmf_from_samples(_level_counts(codes // strides % m, k_eff))
+    return profile_pmf_from_samples(_profiles(_levels(codes // strides % m), k_eff))
 
 
 def profile_pmf_from_samples(samples: np.ndarray) -> dict[tuple, float]:

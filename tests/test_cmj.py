@@ -36,6 +36,12 @@ def test_deterministic_walk_counts():
         n = math.floor(t)
         expected = [math.comb(n - k, k) for k in (1, 2, 3)]
         assert list(simulate_generations(config, 0).counts) == expected
+    # the same at span 0.3 with eta = 2 steps, where t = n d rounds to either side of site n
+    steps, eta = LatticeLaw(0.3, np.array([1.0])), LatticeLaw(0.6, np.array([1.0]))
+    for n in range(6, 60):
+        config = SimConfig(steps, levels=3, horizon=n * 0.3, eta=eta, seed=0, replicas=1)
+        expected = [math.comb(n - k, k) for k in (1, 2, 3)]
+        assert list(simulate_generations(config, 0).counts) == expected
 
 
 def test_no_births_before_first_arrival():
@@ -80,13 +86,47 @@ def test_lattice_mean_four_sigma_gate():
     # origin outlives its first block at t = 60 and needs another round
     slow = np.zeros(50)
     slow[0], slow[49] = 0.9, 0.1
-    for law, t, replicas in ((GEOM, 200, 10_000), (LatticeLaw(1.0, slow), 60, 4_000)):
+    cases = (
+        (GEOM, 200, 10_000),
+        (LatticeLaw(1.0, slow), 60, 4_000),
+        (LatticeLaw(0.3, GEOM.pmf), 200, 4_000),
+    )
+    for law, t, replicas in cases:
         table = renewal_table(law, 2, t)
-        config = SimConfig(law, levels=2, horizon=float(t), seed=23, replicas=replicas)
+        config = SimConfig(law, levels=2, horizon=t * law.span, seed=23, replicas=replicas)
         summary = monte_carlo(config)
         for k in (1, 2):
             se = math.sqrt(summary.variances[k - 1] / config.replicas)
             assert abs(summary.means[k - 1] - table.level(k)[t]) <= 4.0 * se
+
+
+SITES = np.arange(200)
+
+
+@pytest.mark.parametrize("d", [0.1, 0.3, 0.7])
+@pytest.mark.parametrize("pmf", [[1.0], GEOM.pmf], ids=["deterministic", "geometric"])
+def test_lattice_counts_on_every_site(d, pmf):
+    # t = n d rounds to either side of site n for these spans; a lattice walk
+    # runs in site units, so the counts at t = n d are those of the unit-span
+    # walk at t = n on the same streams, and for deterministic steps they
+    # are the exact table
+    law, unit = LatticeLaw(d, np.asarray(pmf)), LatticeLaw(1.0, np.asarray(pmf))
+    exact = renewal_table(law, 2, SITES[-1]).values
+    deterministic = len(pmf) == 1
+    for n in SITES[1:]:
+        counts = simulate_generations(SimConfig(law, 2, n * d, seed=8), n).counts
+        same_walk = simulate_generations(SimConfig(unit, 2, float(n), seed=8), n).counts
+        assert np.array_equal(counts, exact[:, n] if deterministic else same_walk)
+        # a 64-replica ensemble is one block: the case a flat float cumsum breaks
+        counts = monte_carlo(SimConfig(law, 1, n * d, seed=9, replicas=64), workers=1).counts
+        same_walk = monte_carlo(SimConfig(unit, 1, float(n), seed=9, replicas=64), workers=1).counts
+        assert np.array_equal(counts, np.full_like(counts, exact[0, n]) if deterministic else same_walk)
+    # Y_1 and Y_2 at every site at once, through a 64-replica ensemble block's grid paths
+    config = SimConfig(law, 2, SITES[-1] * d, grid=SITES * d, seed=10, replicas=64)
+    paths = cmj._block(config, 0, range(64))[1]
+    unit_config = SimConfig(unit, 2, float(SITES[-1]), grid=SITES.astype(float), seed=10, replicas=64)
+    expected = exact if deterministic else cmj._block(unit_config, 0, range(64))[1]
+    assert np.array_equal(paths, np.broadcast_to(expected, paths.shape))
 
 
 def test_perturbed_mean_vs_exact_table():
@@ -228,6 +268,9 @@ def test_config_validation():
         SimConfig(EXP1, levels=1, horizon=10.0, grid=np.array([3.0, 1.0]))
     with pytest.raises(ValueError, match="grid"):
         SimConfig(EXP1, levels=1, horizon=10.0, grid=np.array([1.0, 20.0]))
+    for span in (0.15, 0.45):
+        with pytest.raises(ValueError, match="multiple of the step span"):
+            SimConfig(GEOM, levels=1, horizon=10.0, eta=LatticeLaw(span, np.array([1.0])))
 
 
 def test_degenerate_law_has_no_statistics():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from iterlog.dist import RngStream
 from iterlog.verify import check_rrt
 from iterlog.rrt import (
+    _levels,
     bernoulli_level1,
     bernoulli_level1_sample,
     enumerate_profiles,
@@ -24,6 +25,50 @@ from iterlog.rrt import (
 
 def _harmonic(n: int) -> float:
     return math.fsum(1.0 / j for j in range(1, n + 1))
+
+
+def _build_levels(parents_u: np.ndarray) -> np.ndarray:
+    """Reference: levels by one scalar step per vertex, vertex m attaching to
+    floor(u_m * m) (the loop the block kernel replaced)."""
+    n = parents_u.size
+    levels = np.zeros(n + 1, dtype=np.int64)
+    for m in range(1, n + 1):
+        parent = int(parents_u[m - 1] * m)
+        levels[m] = levels[parent] + 1
+    return levels
+
+
+@pytest.mark.parametrize("rows, n", [(1, 1), (5, 1), (7, 40), (3, 1000)])
+def test_levels_match_scalar_loop(rows, n):
+    u = np.random.default_rng(rows * n).random((rows, n))
+    levels = _levels(u * np.arange(1, n + 1))
+    assert levels.shape == (rows, n + 1)
+    for row, uniforms in zip(levels, u):
+        assert np.array_equal(row, _build_levels(uniforms))
+
+
+def test_levels_of_star_and_path():
+    n = 2000
+    star = _levels(np.zeros((2, n)))
+    assert star[:, 0].tolist() == [0, 0] and np.all(star[:, 1:] == 1)
+    # vertex m attaches to m - 1: the deepest tree, about log2(n) doubling rounds
+    path = _levels(np.arange(n)[None, :])
+    assert np.array_equal(path[0], np.arange(n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 500])
+def test_growers_pin_their_draw_order(n):
+    # grow_yule draws n exponentials then n uniforms; grow_discrete only the uniforms
+    rng = RngStream(61, n).generator()
+    epochs = np.cumsum(rng.exponential(1.0, n) / np.arange(1, n + 1))
+    levels = _build_levels(rng.random(n))
+    trace = grow_yule(n, 3, RngStream(61, n))
+    assert np.array_equal(trace.epochs, epochs) and np.array_equal(trace.levels, levels)
+    block = sample_profiles(n, 3, RngStream(61, n), 1, yule=True)
+    assert np.array_equal(block[0], trace.counts(3))
+    trace = grow_discrete(n, 3, RngStream(62, n))
+    assert trace.epochs is None
+    assert np.array_equal(trace.levels, _build_levels(RngStream(62, n).generator().random(n)))
 
 
 def test_enumerate_one_vertex():
