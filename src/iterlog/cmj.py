@@ -56,10 +56,6 @@ class SimConfig:
             raise ValueError("need at least one replica")
         if self.center not in ("formula", "table"):
             raise ValueError("center mode must be 'formula' or 'table'")
-        if isinstance(self.law, LatticeLaw) and isinstance(self.eta, LatticeLaw):
-            ratio = self.eta.span / self.law.span
-            if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * ratio:
-                raise ValueError("a lattice eta needs a span that is a multiple of the step span")
         mu = self.law.moments().mean
         expected = sum(leading_term(k, mu, self.horizon) for k in range(1, self.levels + 1))
         if expected > self.population_cap:
@@ -170,6 +166,18 @@ def _block_size(config: SimConfig) -> int:
     return min(MAX_BLOCK, max(1, int(BLOCK_DRAWS / births)))
 
 
+def _eta_sites(law: Law, eta: Law | None) -> int | None:
+    """Span of eta in sites of a lattice walk (0 without eta), or None when the
+    walk is not a lattice law or eta does not fall on whole sites."""
+    if not isinstance(law, LatticeLaw):
+        return None
+    if eta is None:
+        return 0
+    ratio = eta.span / law.span if isinstance(eta, LatticeLaw) else 0.0
+    sites = round(ratio)
+    return sites if sites >= 1 and abs(ratio - sites) <= 1e-9 * ratio else None
+
+
 def _simulate_block(
     config: SimConfig, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray | None, list[np.ndarray] | None]:
@@ -180,16 +188,19 @@ def _simulate_block(
     time order for a standard walk) when it retains them.  Every birth carries the index of its replica, so one
     bincount per generation yields the counts of the whole block.
 
-    A lattice walk (with a lattice eta or none) runs in site units, where a
-    birth is an integer, exact in float64, so none on a site rounds past the
-    horizon or a grid point; those become the sites they fall on.
+    A lattice walk of span d (with no eta, or a lattice eta whose span is a
+    whole number of sites) runs in site units, where a birth is an integer,
+    exact in float64, so none on a site rounds past the horizon or a grid
+    point; those become the sites they fall on.  Any other walk runs in
+    float time.
     """
     t, law, eta, grid = config.horizon, config.law, config.eta, config.grid
     d = 1.0
-    if isinstance(law, LatticeLaw) and (eta is None or isinstance(eta, LatticeLaw)):
+    sites = _eta_sites(law, eta)
+    if sites is not None:
         d = law.span
         law = LatticeLaw(1.0, law.pmf)
-        eta = None if eta is None else LatticeLaw(float(round(eta.span / d)), eta.pmf)
+        eta = None if eta is None else LatticeLaw(float(sites), eta.pmf)
         t = float(lattice_site(t / d))
         grid = None if grid is None else lattice_site(grid / d)
     m = law.moments()

@@ -125,13 +125,10 @@ def grow_yule(n: int, k_max: int, stream: RngStream) -> ProfileTrace:
     return ProfileTrace(levels[0].astype(np.int64), k_max, epochs[0])
 
 
-def sample_profiles(
-    n: int, k_max: int, stream: RngStream, replicas: int, yule: bool = False
-) -> np.ndarray:
+def sample_profiles(n: int, k_max: int, stream: RngStream, replicas: int) -> np.ndarray:
     """Final profiles (X_n(1..k_max)) of many independent trees, one row each:
-    one block on the stream, drawn as ``grow_yule`` draws when ``yule`` (its
-    epochs then dropped), else as ``grow_discrete`` does."""
-    return _profiles(_grow(n, stream.generator(), replicas, yule)[1], k_max)
+    one block on the stream, drawn as ``grow_discrete`` draws."""
+    return _profiles(_grow(n, stream.generator(), replicas, False)[1], k_max)
 
 
 def _profiles(levels: np.ndarray, k_max: int) -> np.ndarray:

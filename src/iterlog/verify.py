@@ -297,8 +297,8 @@ def check_rrt(seed: int, workers: int | None = None) -> list[CheckResult]:
 
 
 def _yule_profiles(b: int, trees: range, n: int, seed: int, index: int) -> np.ndarray:
-    """Profiles of a block of Yule-grown trees with n vertices, on substream b."""
-    return rrt.sample_profiles(n, n, RngStream(seed, index, b), len(trees), yule=True)
+    """Profiles of a block of Yule trees (shaped as uniform attachment) on substream b."""
+    return rrt.sample_profiles(n, n, RngStream(seed, index, b), len(trees))
 
 
 def _chi2_two_sample(x: np.ndarray, y: np.ndarray, min_pooled: int = 25) -> float:

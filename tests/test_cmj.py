@@ -42,6 +42,13 @@ def test_deterministic_walk_counts():
         config = SimConfig(steps, levels=3, horizon=n * 0.3, eta=eta, seed=0, replicas=1)
         expected = [math.comb(n - k, k) for k in (1, 2, 3)]
         assert list(simulate_generations(config, 0).counts) == expected
+    # eta = half a step is off the walk's sites, so it runs in float time:
+    # births at S_{n-1} + 0.5, Y_k(t) = C(floor(t - k/2) + k, k)
+    eta = LatticeLaw(0.5, np.array([1.0]))
+    for t in (5.25, 9.75):
+        config = SimConfig(UNIT, levels=3, horizon=t, eta=eta, seed=0, replicas=1)
+        expected = [math.comb(math.floor(t - k / 2) + k, k) for k in (1, 2, 3)]
+        assert list(simulate_generations(config, 0).counts) == expected
 
 
 def test_no_births_before_first_arrival():
@@ -268,9 +275,6 @@ def test_config_validation():
         SimConfig(EXP1, levels=1, horizon=10.0, grid=np.array([3.0, 1.0]))
     with pytest.raises(ValueError, match="grid"):
         SimConfig(EXP1, levels=1, horizon=10.0, grid=np.array([1.0, 20.0]))
-    for span in (0.15, 0.45):
-        with pytest.raises(ValueError, match="multiple of the step span"):
-            SimConfig(GEOM, levels=1, horizon=10.0, eta=LatticeLaw(span, np.array([1.0])))
 
 
 def test_degenerate_law_has_no_statistics():

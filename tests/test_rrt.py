@@ -64,11 +64,10 @@ def test_growers_pin_their_draw_order(n):
     levels = _build_levels(rng.random(n))
     trace = grow_yule(n, 3, RngStream(61, n))
     assert np.array_equal(trace.epochs, epochs) and np.array_equal(trace.levels, levels)
-    block = sample_profiles(n, 3, RngStream(61, n), 1, yule=True)
-    assert np.array_equal(block[0], trace.counts(3))
     trace = grow_discrete(n, 3, RngStream(62, n))
     assert trace.epochs is None
     assert np.array_equal(trace.levels, _build_levels(RngStream(62, n).generator().random(n)))
+    assert np.array_equal(sample_profiles(n, 3, RngStream(62, n), 1)[0], trace.counts(3))
 
 
 def test_enumerate_one_vertex():
