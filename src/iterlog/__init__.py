@@ -28,7 +28,6 @@ from .renewal import (
 )
 from .cmj import (
     FluctuationParts,
-    LilStatistic,
     MonteCarloSummary,
     SimConfig,
     SimOutcome,

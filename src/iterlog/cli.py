@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -115,14 +115,9 @@ def _cmd_moments(cfg: ExperimentConfig) -> int:
 
 def _cmd_renewal(cfg: ExperimentConfig) -> int:
     law = parse_law(cfg.law)
-    if not hasattr(law, "pmf"):
-        raise ValueError("exact tables need a lattice law")
     if cfg.eta:
-        eta = parse_law(cfg.eta)
-        if not hasattr(eta, "pmf"):
-            raise ValueError("perturbation law must be lattice")
         u = renewal.renewal_sequence(law, cfg.n)
-        table = renewal.perturbed_table(u, law.span, eta, cfg.n, law.moments().mean)
+        table = renewal.perturbed_table(u, law.span, parse_law(cfg.eta), cfg.n, law.moments().mean)
         table = renewal.convolve_levels(table, cfg.levels)
     else:
         table = renewal.renewal_table(law, cfg.levels, cfg.n)
@@ -177,7 +172,8 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_mc(cfg: ExperimentConfig) -> int:
-    config = _sim_config(cfg)
+    # a grid adds nothing to the summary and would walk the last generation
+    config = _sim_config(replace(cfg, grid=None))
     summary = cmj.monte_carlo(config)
     if cfg.fmt == "json":
         _emit(_json(summary.to_dict()), cfg.out)
@@ -328,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", dest="levels", type=int)
     p.add_argument("--t", type=float)
     p.add_argument("--replicas", type=int)
-    p.add_argument("--grid")
 
     p = add("rrt", help="random recursive tree profiles (n = non-root vertices)")
     p.add_argument("--n", type=int)

@@ -8,6 +8,8 @@ births inside [0, t] are materialized.  An ensemble simulates a block of
 replicas per kernel call, every birth labelled with its replica; block b
 draws from substream b of one stream, and ``dist.map_blocks`` dispatches
 the blocks, so ensembles are reproducible under any parallel schedule.
+``monte_carlo`` centers its CLT and iterated-logarithm statistics at the
+leading term t^k / (k! mu^k) of the level-k expectation.
 """
 
 from __future__ import annotations
@@ -18,15 +20,7 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from .dist import LatticeLaw, Law, Moments, RngStream, SmoothLaw, map_blocks
-from .renewal import (
-    AsymptoticConstants,
-    ExponentialRenewal,
-    RenewalTable,
-    lattice_site,
-    leading_term,
-    lil_constant,
-    second_order,
-)
+from .renewal import ExponentialRenewal, RenewalTable, lattice_site, leading_term, lil_constant
 
 E = math.e
 
@@ -44,7 +38,6 @@ class SimConfig:
     replicas: int = 1
     population_cap: float = 1e7
     retain_gen1: bool = False
-    center: str = "formula"
     stream_offset: int = 0
 
     def __post_init__(self):
@@ -54,8 +47,6 @@ class SimConfig:
             raise ValueError("need at least one generation")
         if self.replicas < 1:
             raise ValueError("need at least one replica")
-        if self.center not in ("formula", "table"):
-            raise ValueError("center mode must be 'formula' or 'table'")
         mu = self.law.moments().mean
         expected = sum(leading_term(k, mu, self.horizon) for k in range(1, self.levels + 1))
         if expected > self.population_cap:
@@ -88,14 +79,6 @@ class FluctuationParts:
     i_k: float
     j_k: float
     total: float
-
-
-@dataclass(frozen=True)
-class LilStatistic:
-    k: int
-    t: float
-    value: float | np.ndarray
-    center_mode: str
 
 
 def _children(
@@ -258,40 +241,18 @@ def clt_statistic(yk, k: int, t: float, m: Moments, center: float):
     return a_k * (yk - center) / _power(t, k - 0.5)
 
 
-def lil_statistic(
-    yk, k: int, t: float, m: Moments, center: float, center_mode: str = "formula"
-) -> LilStatistic:
+def lil_statistic(yk, k: int, t: float, m: Moments, center: float):
     """a_k (yk - center) / sqrt(2 t^{2k-1} log log t); needs t > e.
 
-    ``yk`` may be one count or an array of counts.
+    The statistic of the paper's iterated logarithm, whose limit set is
+    [-1, 1]; the tree profile statistic is this one at t = log n.  ``yk``
+    may be one count or an array of counts.
     """
     if t <= E:
         raise ValueError("LIL statistic undefined for t <= e")
     a_k = lil_constant(k, m.mean, m.sigma)
     denom = math.sqrt(2.0 * _power(t, 2 * k - 1) * math.log(math.log(t)))
-    return LilStatistic(k, t, a_k * (yk - center) / denom, center_mode)
-
-
-def center_value(
-    k: int,
-    t: float,
-    m: Moments,
-    mode: str = "formula",
-    table: "RenewalTable | ExponentialRenewal | None" = None,
-) -> float:
-    """Centering for the fluctuation statistics.
-
-    "formula" is t^k/(k! mu^k); "table" uses an exact table when one is
-    supplied, else the formula plus the nonlattice second-order term.
-    """
-    if mode == "formula":
-        return leading_term(k, m.mean, t)
-    if mode != "table":
-        raise ValueError("center mode must be 'formula' or 'table'")
-    if table is not None:
-        return table.at(k, t)
-    ac = AsymptoticConstants.from_moments(k, m)
-    return leading_term(k, m.mean, t) + second_order(k, ac, t, "nonlattice")
+    return a_k * (yk - center) / denom
 
 
 def decompose_fluctuation(
@@ -327,7 +288,7 @@ class MonteCarloSummary:
     variances: np.ndarray  # (K,) ddof=1
     clt: np.ndarray | None  # (R, K)
     lil: np.ndarray | None  # (R, K), None when horizon <= e or sigma = 0
-    centers: np.ndarray  # (K,)
+    centers: np.ndarray  # (K,) leading terms t^k / (k! mu^k)
 
     def quantiles(self, qs=(0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)) -> dict:
         if self.clt is None:
@@ -367,11 +328,11 @@ def _count_rows(b: int, replicas: range, config: SimConfig) -> np.ndarray:
     return _block(config, b, replicas)[0]
 
 
-def monte_carlo(
-    config: SimConfig,
-    workers: int | None = None,
-    table: "RenewalTable | ExponentialRenewal | None" = None,
-) -> MonteCarloSummary:
+def _path_rows(b: int, replicas: range, config: SimConfig) -> np.ndarray:
+    return _block(config, b, replicas)[1]
+
+
+def monte_carlo(config: SimConfig, workers: int | None = None) -> MonteCarloSummary:
     """Run the ensemble and reduce it; a pure function of (config, seed).
 
     Replicas run in blocks of ``_block_size(config)``; block b always owns
@@ -384,7 +345,7 @@ def monte_carlo(
     m = config.law.moments()
     t = config.horizon
     ks = range(1, config.levels + 1)
-    centers = np.array([center_value(k, t, m, config.center, table) for k in ks])
+    centers = np.array([leading_term(k, m.mean, t) for k in ks])
     means = counts.mean(axis=0)
     variances = counts.var(axis=0, ddof=1)
     clt = lil = None
@@ -392,7 +353,7 @@ def monte_carlo(
         columns = [(counts[:, k - 1], k, t, m, centers[k - 1]) for k in ks]
         clt = np.column_stack([clt_statistic(*c) for c in columns])
         if t > E:
-            lil = np.column_stack([lil_statistic(*c).value for c in columns])
+            lil = np.column_stack([lil_statistic(*c) for c in columns])
     return MonteCarloSummary(config, counts, means, variances, clt, lil, centers)
 
 

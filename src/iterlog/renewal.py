@@ -51,7 +51,7 @@ class RenewalTable:
         n = int(lattice_site(t / self.span))
         if n < 0 or n > self.horizon:
             raise ValueError(f"t={t} outside table horizon")
-        return float(self.values[k - 1, n])
+        return float(self.level(k)[n])
 
 
 def lattice_site(x):
@@ -160,8 +160,12 @@ def perturbed_table(
     perturbation law must live on the same lattice.  Higher levels follow
     by convolve_levels with dV* increments.
     """
+    if not isinstance(eta, LatticeLaw):
+        raise ValueError("perturbation law must be lattice")
     if abs(eta.span - span) > 1e-12 * max(span, eta.span):
         raise ValueError("incommensurable lattices: step and perturbation spans differ")
+    if n_max < 0:
+        raise ValueError("horizon must be nonnegative")
     if n_max > u.size - 1:
         raise ValueError("renewal sequence shorter than requested horizon")
     _check_guard(1, n_max, max_entries)

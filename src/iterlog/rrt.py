@@ -6,7 +6,8 @@ counts satisfy sum_k X_n(k) = n.  Both growers produce the same profile
 law; the Yule grower additionally records the birth epochs, making the
 profile literally the generation count of the exponential branching
 process sampled at tau_n.  Every grower runs one level kernel on a block
-of trees; a single tree is row 0 of a block of one.
+of trees; a single tree is row 0 of a block of one.  The profile statistic
+is ``cmj.lil_statistic`` for the unit exponential law read at t = log n.
 """
 
 from __future__ import annotations
@@ -16,10 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import RngStream
+from .cmj import lil_statistic
+from .dist import Moments, RngStream
+from .renewal import leading_term
 
 #: The profile statistic needs log log log n > 0.
 MIN_STAT_N = math.exp(math.e)
+
+#: Moments of the unit exponential law, whose Yule process grows the tree.
+UNIT_EXP = Moments(1.0, 2.0)
 
 #: Full enumeration is n! sequences; 9! = 362880 is the supported maximum.
 MAX_ENUM_N = 9
@@ -153,16 +159,14 @@ def bernoulli_level1_sample(n: int, stream: RngStream, replicas: int) -> np.ndar
     return (u * np.arange(1, n + 1) < 1.0).sum(axis=1).astype(np.int64)
 
 
-def rrt_lil_statistic(xnk: float, n: int, k: int) -> float:
-    """(k-1)! sqrt(2k-1) (X_n(k) - (log n)^k/k!) / sqrt(2 (log n)^{2k-1} logloglog n)."""
-    if n <= MIN_STAT_N:
-        raise ValueError("statistic undefined for n <= e^e")
-    if k < 1:
-        raise ValueError("level must be >= 1")
-    ln = math.log(n)
-    center = ln**k / math.factorial(k)
-    denom = math.sqrt(2.0 * ln ** (2 * k - 1) * math.log(math.log(ln)))
-    return math.factorial(k - 1) * math.sqrt(2.0 * k - 1.0) * (xnk - center) / denom
+def rrt_lil_statistic(xnk, n: int, k: int):
+    """(k-1)! sqrt(2k-1) (X_n(k) - (log n)^k/k!) / sqrt(2 (log n)^{2k-1} logloglog n).
+
+    ``cmj.lil_statistic`` of the unit exponential law at t = log n, so it
+    needs n > e^e; ``xnk`` may be one count or an array of counts.
+    """
+    t = math.log(n)
+    return lil_statistic(xnk, k, t, UNIT_EXP, leading_term(k, UNIT_EXP.mean, t))
 
 
 def enumerate_profiles(n: int, k_max: int | None = None) -> dict[tuple, float]:

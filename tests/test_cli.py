@@ -87,6 +87,20 @@ def test_mc_csv_reproducible(tmp_path):
     assert len(lines) == 1 + 64 * 2
 
 
+def test_mc_takes_no_grid(tmp_path, capsys):
+    args = ["mc", "--law", "exp:rate=1", "--K", "2", "--t", "20", "--replicas", "8",
+            "--seed", "3", "--format", "json"]
+    assert run(args + ["--grid", "linear:start=5,stop=20,count=4"]) == 2
+    capsys.readouterr()
+    assert run(args) == 0
+    plain = _capture(capsys)
+    # a grid from a config file is dropped too: it would walk the last generation
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"grid": "linear:start=5,stop=20,count=4"}))
+    assert run(args + ["--config", str(config_path)]) == 0
+    assert _capture(capsys) == plain
+
+
 def test_mc_json_summary(capsys):
     code = run(["mc", "--law", "geom:p=0.5", "--K", "1", "--t", "40",
                 "--replicas", "200", "--seed", "5", "--format", "json"])
@@ -167,6 +181,18 @@ def test_verify_gated_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in _capture(capsys)
 
 
+def test_lil_extrema_series_independent_of_worker_count():
+    # 64 replicas, the fewest that map_blocks hands to a pool
+    serial = verify.lil_extrema_series(7, replicas=64, workers=1)
+    pooled = verify.lil_extrema_series(7, replicas=64, workers=2)
+    assert serial[1].shape == (64, 26)
+    assert serial[0].tobytes() == pooled[0].tobytes()
+    assert serial[1].tobytes() == pooled[1].tobytes()
+    # the first 20 replicas are the blocks of a 20-replica ensemble
+    few = verify.lil_extrema_series(7, replicas=20, workers=2)
+    assert few[1].tobytes() == serial[1][:20].tobytes()
+
+
 def test_chi2_two_sample_too_few_counts():
     with pytest.raises(ValueError, match="min_pooled=25"):
         verify._chi2_two_sample(np.array([1, 2, 3]), np.array([1, 2]))
@@ -176,6 +202,7 @@ def test_usage_errors(capsys):
     assert run(["moments", "--law", "bogus:x=1"]) == 2
     assert run(["nonsense"]) == 2
     assert run(["renewal", "--law", "exp:rate=1", "--N", "5"]) == 2  # needs a lattice law
+    assert run(["renewal", "--law", "geom:p=0.5", "--eta", "exp:rate=1", "--N", "5"]) == 2
     assert run(["verify", "--checks", "zzz"]) == 2
     capsys.readouterr()
 

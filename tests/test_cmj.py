@@ -8,7 +8,6 @@ import pytest
 from iterlog import cmj
 from iterlog.cmj import (
     SimConfig,
-    center_value,
     clt_statistic,
     decompose_fluctuation,
     decomposition_ensemble,
@@ -190,22 +189,21 @@ def test_clt_statistic_values():
 
 def test_lil_statistic_values():
     m = EXP1.moments()
-    assert lil_statistic(50.0, 2, 100.0, m, 50.0).value == 0.0
+    assert lil_statistic(50.0, 2, 100.0, m, 50.0) == 0.0
     stat = lil_statistic(110.0, 1, 100.0, m, 100.0)
     expected = 10.0 / math.sqrt(2.0 * 100.0 * math.log(math.log(100.0)))
-    assert stat.value == pytest.approx(expected)
-    assert stat.value == pytest.approx(0.5722, abs=2e-4)
+    assert stat == pytest.approx(expected)
+    assert stat == pytest.approx(0.5722, abs=2e-4)
     with pytest.raises(ValueError, match="undefined"):
         lil_statistic(1.0, 1, 2.0, m, 1.0)
 
 
-def test_center_value_modes():
-    m = EXP1.moments()
-    assert center_value(2, 10.0, m) == 50.0
-    # table mode without a table: formula plus the (vanishing) correction
-    assert center_value(2, 10.0, m, mode="table") == 50.0
-    table = renewal_table(GEOM, 2, 100)
-    assert center_value(2, 50.0, GEOM.moments(), mode="table", table=table) == table.level(2)[50]
+def test_monte_carlo_centers_are_leading_terms():
+    summary = monte_carlo(SimConfig(EXP1, levels=2, horizon=10.0, seed=0, replicas=2))
+    assert summary.centers.tolist() == [10.0, 50.0]
+    summary = monte_carlo(SimConfig(GEOM, levels=2, horizon=50.0, seed=0, replicas=2))
+    mu = GEOM.moments().mean
+    assert summary.centers.tolist() == [leading_term(k, mu, 50.0) for k in (1, 2)]
 
 
 def test_lil_report_band_is_finite():
@@ -220,7 +218,7 @@ def test_lil_report_band_is_finite():
         sim = simulate_generations(config, r)
         for j, t in enumerate(grid):
             values.append(
-                lil_statistic(float(sim.path[0, j]), 1, float(t), m, center_value(1, float(t), m)).value
+                lil_statistic(float(sim.path[0, j]), 1, float(t), m, leading_term(1, m.mean, float(t)))
             )
     assert np.all(np.isfinite(values))
 

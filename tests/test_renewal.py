@@ -150,6 +150,14 @@ def test_perturbed_mismatched_spans():
         perturbed_table(u, 1.0, LatticeLaw(0.5, np.array([1.0])), 10, 2.0)
 
 
+def test_perturbed_table_bad_input():
+    u = renewal_sequence(GEOM, 10)
+    with pytest.raises(ValueError, match="must be lattice"):
+        perturbed_table(u, 1.0, SmoothLaw("exp", {"rate": 1.0}), 10, 2.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        perturbed_table(u, 1.0, GEOM, -1, 2.0)
+
+
 def test_memory_guard():
     with pytest.raises(ValueError, match="horizon too large"):
         renewal_table(GEOM, 5, 50_000_000)
@@ -272,6 +280,13 @@ def test_table_at_step_lookup():
     assert table.at(1, 3.7) == 3.0
     with pytest.raises(ValueError, match="horizon"):
         table.at(1, 11.0)
+
+
+def test_table_at_level_out_of_range():
+    table = renewal_table(UNIT, 2, 10)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="not in table"):
+            table.at(k, 3.0)
 
 
 def test_table_at_non_integer_span():

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iterlog.dist import RngStream
+from iterlog.cmj import lil_statistic
+from iterlog.dist import RngStream, SmoothLaw
+from iterlog.renewal import leading_term
 from iterlog.verify import check_rrt
 from iterlog.rrt import (
     _levels,
@@ -235,6 +237,20 @@ def test_statistic_values():
     expected = (20.0 - ln) / math.sqrt(2.0 * ln * math.log(math.log(ln)))
     assert value == pytest.approx(expected)
     assert value == pytest.approx(1.1974, abs=2e-4)
+
+
+def test_statistic_is_the_branching_statistic_at_log_n():
+    # the tree statistic is the unit exponential law's statistic at t = log n
+    m = SmoothLaw("exp", {"rate": 1.0}).moments()
+    for n, k, x in ((16, 1, 3.0), (10_000, 2, 40.0), (20_000, 4, 7.0)):
+        t = math.log(n)
+        assert rrt_lil_statistic(x, n, k) == lil_statistic(x, k, t, m, leading_term(k, 1.0, t))
+    xs = np.arange(30, dtype=np.int64)
+    t = math.log(10_000)
+    row = rrt_lil_statistic(xs, 10_000, 2)
+    assert row.shape == (30,)
+    assert np.array_equal(row, [rrt_lil_statistic(float(x), 10_000, 2) for x in xs])
+    assert np.array_equal(row, lil_statistic(xs, 2, t, m, leading_term(2, 1.0, t)))
 
 
 def test_statistic_domain():
