@@ -115,24 +115,27 @@ def _cmd_moments(cfg: ExperimentConfig) -> int:
 
 def _cmd_renewal(cfg: ExperimentConfig) -> int:
     law = parse_law(cfg.law)
-    if cfg.eta:
-        u = renewal.renewal_sequence(law, cfg.n)
-        table = renewal.perturbed_table(u, law.span, parse_law(cfg.eta), cfg.n, law.moments().mean)
-        table = renewal.convolve_levels(table, cfg.levels)
+    eta = parse_law(cfg.eta) if cfg.eta else None
+    # json prints only constants, which do not depend on N; a one-site table refuses the same input
+    n = min(cfg.n, 0) if cfg.fmt == "json" else cfg.n
+    renewal._check_guard(cfg.levels, cfg.n, renewal.MAX_TABLE_ENTRIES)
+    if eta:
+        chain = renewal.perturbed_table(renewal.renewal_sequence(law, n), law.span, eta, n, law.moments().mean)
+        table = renewal.convolve_levels(chain, cfg.levels)
     else:
-        table = renewal.renewal_table(law, cfg.levels, cfg.n)
+        table = renewal.renewal_table(law, cfg.levels, n)
     if cfg.fmt == "json":
         m = law.moments()
-        eta_mean = parse_law(cfg.eta).moments().mean if cfg.eta else None
+        eta_mean = eta.moments().mean if eta else None
         consts = [
             renewal.AsymptoticConstants.from_moments(k, m, span=law.span, eta_mean=eta_mean).to_dict()
             for k in range(1, cfg.levels + 1)
         ]
         _emit(_json({"constants": consts}), cfg.out)
-    else:
-        if not cfg.out:
-            raise ValueError("CSV table needs --out")
-        renewal.write_table_csv(table, cfg.out)
+        return 0
+    if not cfg.out:
+        raise ValueError("CSV table needs --out")
+    renewal.write_table_csv(table, cfg.out)
     return 0
 
 

@@ -47,6 +47,27 @@ def test_renewal_constants_json(capsys):
     assert consts[0]["d_lim"] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_renewal_json_independent_of_horizon(capsys):
+    outputs = []
+    for n in ("40", "40000"):
+        args = ["renewal", "--law", "geom:p=0.5", "--eta", "geom:p=0.5", "--K", "3", "--N", n]
+        assert run(args + ["--format", "json"]) == 0
+        outputs.append(_capture(capsys))
+    assert outputs[0] == outputs[1]
+
+
+def test_renewal_json_refuses_what_a_table_refuses(capsys):
+    json_fmt = ["--format", "json"]
+    assert run(["renewal", "--law", "exp:rate=1"] + json_fmt) == 2
+    assert run(["renewal", "--law", "geom:p=0.5", "--eta", "exp:rate=1"] + json_fmt) == 2
+    assert run(["renewal", "--law", "geom:p=0.5", "--eta", "lattice:d=0.5;p=1"] + json_fmt) == 2
+    assert run(["renewal", "--law", "geom:p=0.5", "--N", "-1"] + json_fmt) == 2
+    assert run(["renewal", "--law", "geom:p=0.5", "--eta", "geom:p=0.5", "--N", "-1"] + json_fmt) == 2
+    assert run(["renewal", "--law", "geom:p=0.5", "--K", "0"] + json_fmt) == 2
+    assert run(["renewal", "--law", "geom:p=0.5", "--K", "3", "--N", "50000000"] + json_fmt) == 2
+    capsys.readouterr()
+
+
 def test_simulate_deterministic_counts(capsys):
     code = run(["simulate", "--law", "lattice:d=1;p=1", "--K", "2", "--t", "5.5"])
     assert code == 0

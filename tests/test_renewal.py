@@ -99,7 +99,9 @@ def test_convolution_symmetry_both_orders():
         forward = table.level(k)
         scale = np.maximum(np.abs(forward), 1.0)
         assert np.max(np.abs(forward - reversed_order) / scale) < 1e-9
-    assert np.array_equal(_convolve_stieltjes(du1, v1), convolve_levels(table, 2).level(2))
+    # convolve_levels builds level 2 by _convolve_stieltjes from a one-level table
+    built = convolve_levels(renewal_table(GEOM, 1, 2000), 2).level(2)
+    assert np.array_equal(_convolve_stieltjes(du1, v1), built)
 
 
 def _perturbed_oracle(xi: LatticeLaw, eta: LatticeLaw, n_max: int) -> np.ndarray:
@@ -259,6 +261,43 @@ def test_subadditivity_examples():
         check_subadditivity(table, 15, 10, 2)
 
 
+def _sweep_reference(table: RenewalTable, k_max: int, n_max: int | None = None) -> tuple[int, float]:
+    """The sweep as one power and one count per (k, h) row, for comparison."""
+    n = table.horizon if n_max is None else n_max
+    violations = 0
+    min_slack = math.inf
+    v1 = table.level(1)
+    for k in range(1, k_max + 1):
+        vk = table.level(k)
+        for h in range(0, n + 1):
+            left = vk[h : n + 1] - vk[: n - h + 1]
+            right = (v1[h] + 1.0) * v1[h : n + 1] ** (k - 1)
+            slack = right - left
+            m = slack.min() if slack.size else math.inf
+            if m < min_slack:
+                min_slack = m
+            violations += int((slack < 0.0).sum())
+    return violations, float(min_slack)
+
+
+def test_subadditivity_sweep_matches_reference():
+    broken = RenewalTable(
+        1.0,
+        np.array([[0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.0, 9.0, 10.0, 40.0, 41.0]]),
+        1.0,
+    )
+    violations, min_slack = subadditivity_sweep(broken, 2)
+    assert violations > 0 and min_slack < 0.0
+    assert (violations, min_slack) == _sweep_reference(broken, 2)
+    assert subadditivity_sweep(broken, 2, 3) == _sweep_reference(broken, 2, 3)
+    for law in (GEOM, LatticeLaw(1.0, np.array([0.5, 0.5])), RATIONAL_LAWS[1]):
+        table = renewal_table(law, 5, 400)
+        for k_max in (3, 5):
+            got = subadditivity_sweep(table, k_max)
+            assert got == _sweep_reference(table, k_max)
+            assert got[0] == 0
+
+
 def test_subadditivity_sweep_small():
     table = renewal_table(GEOM, 3, 300)
     violations, min_slack = subadditivity_sweep(table, 3)
@@ -361,14 +400,61 @@ def test_perturbed_chain_vs_fraction_oracle(step, eta, n_max):
     _assert_rel_close(chain.values, _exact_levels(step, 3, n_max, eta))
 
 
+def test_renewal_table_bad_input():
+    with pytest.raises(ValueError, match="lattice law"):
+        renewal_table(SmoothLaw("exp", {"rate": 1.0}), 2, 10)
+    with pytest.raises(ValueError, match="nonnegative"):
+        renewal_table(GEOM, 2, -1)
+    with pytest.raises(ValueError, match="lattice law"):
+        renewal_sequence(SmoothLaw("exp", {"rate": 1.0}), 10)
+    with pytest.raises(ValueError, match="nonnegative"):
+        renewal_sequence(GEOM, -1)
+
+
+@pytest.mark.parametrize("law", RATIONAL_LAWS + [GEOM])
+def test_recurrence_levels_match_stieltjes_levels(law):
+    n_max = 2000
+    stieltjes = convolve_levels(renewal_table(law, 1, n_max), 3).values
+    _assert_rel_close(stieltjes, renewal_table(law, 3, n_max).values)
+
+
+def _scaled_integer_levels(numerators: list[int], levels: int, n_max: int) -> np.ndarray:
+    """V_1..V_K for the pmf numerators/16 on sites 1..M, from exact integers.
+
+    W_k(n) = 16^n V_k(n) obeys W_k(n) = sum_m a_m 16^(m-1) [W_k(n-m) + W_{k-1}(n-m)]
+    with W_0(n) = 16^n; one correctly rounded division per cell gives V_k(n).
+    """
+    weights = [(m, a << 4 * (m - 1)) for m, a in enumerate(numerators, start=1)]
+    prev = [1 << 4 * n for n in range(n_max + 1)]
+    rows = []
+    for _ in range(levels):
+        cur = []
+        for n in range(n_max + 1):
+            cur.append(sum(w * (cur[n - m] + prev[n - m]) for m, w in weights if m <= n))
+        rows.append([x / (1 << 4 * n) for n, x in enumerate(cur)])
+        prev = cur
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("numerators", [[3, 13], [5, 2, 9], [4, 8, 4]])
+def test_standard_table_vs_scaled_integer_oracle(numerators):
+    n_max = 4000
+    law = LatticeLaw(1.0, np.array(numerators) / 16.0)
+    exact = _scaled_integer_levels(numerators, 3, n_max)
+    _assert_rel_close(renewal_table(law, 3, n_max).values, exact)
+
+
 def test_table_bits_independent_of_blas_threads():
     src = str(Path(iterlog.__file__).resolve().parents[1])
     code = (
         "import hashlib, sys\n"
         "from iterlog.dist import geometric_lattice\n"
-        "from iterlog.renewal import renewal_table\n"
-        "values = renewal_table(geometric_lattice(0.5), 3, 16000).values\n"
-        "sys.stdout.write(hashlib.sha256(values.tobytes()).hexdigest())\n"
+        "from iterlog.renewal import convolve_levels, perturbed_table, renewal_sequence, renewal_table\n"
+        "law = geometric_lattice(0.5)\n"
+        "u = renewal_sequence(law, 16000)\n"
+        "chain = convolve_levels(perturbed_table(u, law.span, law, 16000, 2.0), 3)\n"
+        "for values in (renewal_table(law, 3, 16000).values, chain.values):\n"
+        "    sys.stdout.write(hashlib.sha256(values.tobytes()).hexdigest())\n"
     )
     digests = []
     for threads in ("1", "2"):
@@ -378,7 +464,7 @@ def test_table_bits_independent_of_blas_threads():
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True
         )
         digests.append(done.stdout)
-    assert len(digests[0]) == 64
+    assert len(digests[0]) == 128
     assert digests[0] == digests[1]
 
 
@@ -393,6 +479,17 @@ def test_csv_round_trip(tmp_path):
         assert int(cells[0]) == n
         assert float(cells[2]) == table.level(1)[n]  # 17 digits round-trip
         assert float(cells[3]) == table.level(2)[n]
+
+
+def test_csv_bytes_match_per_cell_rendering(tmp_path):
+    table = renewal_table(LatticeLaw(0.3, np.array([0.2, 0.5, 0.3])), 3, 500)
+    lines = ["n,t,V1,V2,V3"]
+    for n in range(table.horizon + 1):
+        cells = [str(n), f"{n * table.span:.17g}"] + [f"{table.values[j, n]:.17g}" for j in range(3)]
+        lines.append(",".join(cells))
+    path = tmp_path / "table.csv"
+    write_table_csv(table, str(path))
+    assert path.read_text() == "\n".join(lines) + "\n"
 
 
 @st.composite
