@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import cmj, gauss, renewal, rrt, verify
-from .dist import RngStream, parse_law
+from . import cmj, gauss, renewal, rrt
+from .dist import LatticeLaw, RngStream, parse_law
 from .plot import Series, emit_plot
 
 _G17 = "{:.17g}".format
@@ -87,6 +87,9 @@ def _parse_grid(spec: str) -> np.ndarray:
         count = int(kv.get("count", 10))
         return start * base ** np.arange(count)
     if kind == "linear":
+        for key in ("start", "stop"):
+            if key not in kv:
+                raise ValueError(f"linear grid needs {key}=")
         return np.linspace(kv["start"], kv["stop"], int(kv.get("count", 10)))
     raise ValueError(f"unknown grid kind {kind!r}")
 
@@ -218,9 +221,11 @@ def _cmd_gauss(cfg: ExperimentConfig) -> int:
     k, t, h = cfg.k, cfg.t, cfg.h
     if k < 2:
         raise ValueError("the weighted integrals need k >= 2")
+    if cfg.fmt == "json" and cfg.replicas < 2:
+        raise ValueError("ensemble needs at least two replicas")
     if cfg.law:
         law = parse_law(cfg.law)
-        if hasattr(law, "pmf"):
+        if isinstance(law, LatticeLaw):
             table = renewal.renewal_table(law, max(1, k - 1), int(math.ceil(t / law.span)))
             fk = gauss.FkTable.from_renewal(table, k)
         elif law.family == "exp":
@@ -251,6 +256,9 @@ def _cmd_gauss(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_verify(cfg: ExperimentConfig) -> int:
+    # imported here: verify loads scipy.stats (~1 s), which no other command needs
+    from . import verify
+
     if cfg.checks:
         report = verify.VerificationReport("custom", cfg.seed)
         for name in cfg.checks.split(","):

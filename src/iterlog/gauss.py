@@ -30,10 +30,14 @@ class BmPath:
         return (self.values.size - 1) * self.h
 
 
+def _check_step(t_max: float, h: float) -> None:
+    if not (h > 0 and t_max >= h):
+        raise ValueError("need h > 0 and t_max >= h")
+
+
 def sample_bm(t_max: float, h: float, stream: RngStream) -> BmPath:
     """Cumulative sum of centered Gaussian increments of variance h."""
-    if h <= 0 or t_max < h:
-        raise ValueError("need h > 0 and t_max >= h")
+    _check_step(t_max, h)
     rng = stream.generator()
     steps = int(round(t_max / h))
     w = np.empty(steps + 1, dtype=np.float64)
@@ -165,6 +169,7 @@ def b1k_ensemble(
     workers: int | None = None,
 ) -> np.ndarray:
     """Independent B1 values; see ``_weighted_sums`` for the streams."""
+    _check_step(t, h)
     x = h * np.arange(int(round(t / h)), dtype=np.float64)
     args = ((t - x) ** (k - 1), h, stream.seed, stream.index)
     return map_blocks(_weighted_sums, replicas, block, workers, *args)
@@ -175,6 +180,7 @@ def b2k_ensemble(
     workers: int | None = None,
 ) -> np.ndarray:
     """Independent B2 values; see ``_weighted_sums`` for the streams."""
+    _check_step(t, h)
     _check_grid(fk, h, t)
     x = h * np.arange(int(round(t / h)), dtype=np.float64)
     args = (fk.evaluate(t - x), h, stream.seed, stream.index)

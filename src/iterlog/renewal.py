@@ -73,7 +73,7 @@ def _recurrence_levels(law: LatticeLaw, x: np.ndarray, levels: int) -> np.ndarra
     """Rows y_1..y_K of y_k (1 - P) = P y_{k-1}, y_0 = x (Feller I, ch. XIII): one
     IIR pass per level, O(N M) for a pmf on M sites.  The denominator has two or
     more taps, so scipy runs its own sequential loop, not a BLAS dot."""
-    # imported here: at module level scipy.signal adds ~1.6 s to `import iterlog`
+    # imported here: scipy.signal imports scipy.stats, ~1.4 s in all, against ~0.2 s for `import iterlog`
     from scipy.signal import lfilter
 
     if not isinstance(law, LatticeLaw):

@@ -114,8 +114,14 @@ def _grow(n: int, rng: np.random.Generator, rows: int, yule: bool):
     )
 
 
+def _check_k_max(k_max: int) -> None:
+    if k_max < 1:
+        raise ValueError("need k_max >= 1")
+
+
 def grow_discrete(n: int, k_max: int, stream: RngStream) -> ProfileTrace:
     """Uniform attachment: vertex m+1 picks its parent uniformly among 1..m."""
+    _check_k_max(k_max)
     levels = _grow(n, stream.generator(), 1, False)[1]
     return ProfileTrace(levels[0].astype(np.int64), k_max)
 
@@ -127,6 +133,7 @@ def grow_yule(n: int, k_max: int, stream: RngStream) -> ProfileTrace:
     the recorded epochs make the profile the branching-generation count
     sampled at tau_n.
     """
+    _check_k_max(k_max)
     epochs, levels = _grow(n, stream.generator(), 1, True)
     return ProfileTrace(levels[0].astype(np.int64), k_max, epochs[0])
 
@@ -134,6 +141,7 @@ def grow_yule(n: int, k_max: int, stream: RngStream) -> ProfileTrace:
 def sample_profiles(n: int, k_max: int, stream: RngStream, replicas: int) -> np.ndarray:
     """Final profiles (X_n(1..k_max)) of many independent trees, one row each:
     one block on the stream, drawn as ``grow_discrete`` draws."""
+    _check_k_max(k_max)
     return _profiles(_grow(n, stream.generator(), replicas, False)[1], k_max)
 
 
@@ -179,6 +187,8 @@ def enumerate_profiles(n: int, k_max: int | None = None) -> dict[tuple, float]:
         raise ValueError("need n >= 1")
     if n > MAX_ENUM_N:
         raise ValueError(f"enumeration capped at n = {MAX_ENUM_N}")
+    if k_max is not None:
+        _check_k_max(k_max)
     k_eff = n if k_max is None else min(k_max, n)
     # mixed-radix decode: sequence id -> parent choice (digit of base m) for each vertex m
     codes = np.arange(math.factorial(n), dtype=np.int64)[:, None]

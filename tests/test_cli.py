@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iterlog
 from iterlog import verify
 from iterlog.cli import ExperimentConfig, run
 from iterlog.plot import Series, emit_plot
@@ -85,6 +90,14 @@ def test_simulate_path_csv(tmp_path):
     assert len(lines) == 5
 
 
+def test_linear_grid_needs_start_and_stop(capsys):
+    args = ["simulate", "--law", "exp:rate=1", "--t", "5", "--grid"]
+    assert run(args + ["linear:stop=5"]) == 2
+    assert "start=" in capsys.readouterr().err
+    assert run(args + ["linear:start=1"]) == 2
+    assert "stop=" in capsys.readouterr().err
+
+
 def test_simulate_path_svg(tmp_path):
     path = tmp_path / "path.svg"
     code = run(["simulate", "--law", "exp:rate=1", "--K", "2", "--t", "20",
@@ -160,6 +173,14 @@ def test_rrt_enumerate_json(capsys):
     assert pmf["2,1,0"] == pytest.approx(0.5)
 
 
+def test_rrt_needs_a_level(capsys):
+    assert run(["rrt", "--n", "5", "--K", "0"]) == 2
+    assert run(["rrt", "--enumerate", "3", "--K", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("need k_max >= 1") == 2
+
+
 def test_rrt_csv(tmp_path):
     path = tmp_path / "rrt.csv"
     code = run(["rrt", "--n", "30", "--K", "2", "--replicas", "5", "--seed", "2",
@@ -180,6 +201,17 @@ def test_gauss_json(capsys):
     out = json.loads(_capture(capsys))
     assert out["b1_variance_target"] == pytest.approx(1000.0 / 3.0)
     assert out["b2_variance"] == 0.0  # default exponential weight vanishes
+
+
+def test_gauss_step_and_replica_errors(capsys):
+    base = ["gauss", "--k", "2", "--t", "1", "--seed", "3"]
+    for h in ("0", "-0.1", "2"):
+        assert run(base + ["--h", h]) == 2
+        assert "need h > 0 and t_max >= h" in capsys.readouterr().err
+    assert run(base + ["--h", "0.1", "--replicas", "1", "--format", "json"]) == 2
+    assert "at least two replicas" in capsys.readouterr().err
+    assert run(base + ["--h", "0.1", "--replicas", "1"]) == 0  # one CSV row is fine
+    assert len(_capture(capsys).splitlines()) == 2
 
 
 def test_verify_single_check_deterministic(capsys):
@@ -217,6 +249,30 @@ def test_lil_extrema_series_independent_of_worker_count():
 def test_chi2_two_sample_too_few_counts():
     with pytest.raises(ValueError, match="min_pooled=25"):
         verify._chi2_two_sample(np.array([1, 2, 3]), np.array([1, 2]))
+
+
+def test_level1_chi2_p_value_pinned():
+    # where scipy.stats gets imported must not move the seed-7 p-value
+    (chi2,) = [c for c in verify.run_check("c7", 7) if c.name == "c7_level1_chi2"]
+    assert chi2.computed == 0.4387597097276895
+
+
+def test_scipy_stats_loaded_only_by_commands_that_need_it():
+    src = str(Path(iterlog.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, sys\n"
+        "from iterlog import cli\n"
+        "def scipy_modules():\n"
+        "    return [m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules]\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['mc', '--law', 'exp:rate=1', '--K', '2', '--t', '5', '--replicas', '4']) == 0\n"
+        "    assert cli.run(['rrt', '--n', '30', '--K', '2', '--replicas', '3']) == 0\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], env=env, timeout=120, check=True)
 
 
 def test_usage_errors(capsys):

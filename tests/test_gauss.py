@@ -215,6 +215,13 @@ def test_sites_at_non_unit_span():
         b1k(path, 1, n * 0.7 + 0.35)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.1, 2.0])
+def test_ensembles_refuse_bad_steps(h):
+    for ensemble, weight in ((b1k_ensemble, 2), (b2k_ensemble, FkTable.exponential(2))):
+        with pytest.raises(ValueError, match=r"need h > 0 and t_max >= h"):
+            ensemble(weight, 1.0, h, 4, RngStream(0, 0))
+
+
 def test_bm_path_validation():
     with pytest.raises(ValueError):
         sample_bm(0.5, 1.0, RngStream(0, 0))

@@ -105,6 +105,17 @@ def test_enumerate_cap():
         enumerate_profiles(10)
 
 
+def test_every_grower_needs_a_level():
+    for call in (
+        lambda: grow_discrete(5, 0, RngStream(0, 0)),
+        lambda: grow_yule(5, 0, RngStream(0, 0)),
+        lambda: sample_profiles(5, 0, RngStream(0, 0), 3),
+        lambda: enumerate_profiles(3, 0),
+    ):
+        with pytest.raises(ValueError, match="need k_max >= 1"):
+            call()
+
+
 def test_single_attachment_forced():
     trace = grow_discrete(1, 1, RngStream(0, 0))
     assert trace.counts(1)[0] == 1
