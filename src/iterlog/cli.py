@@ -107,6 +107,8 @@ def _json(obj) -> str:
 
 
 def _cmd_moments(cfg: ExperimentConfig) -> int:
+    if cfg.levels < 1:
+        raise ValueError("need K >= 1")
     law = parse_law(cfg.law)
     m = law.moments()
     out = {"mu": m.mean, "m2": m.second_moment, "var": m.variance}
@@ -202,6 +204,8 @@ def _cmd_rrt(cfg: ExperimentConfig) -> int:
         encoded = {",".join(str(v) for v in key): p for key, p in sorted(pmf.items())}
         _emit(_json(encoded), cfg.out)
         return 0
+    if cfg.replicas < 1:
+        raise ValueError("need replicas >= 1")
     n = cfg.n
     lines = ["n,k,X,statistic"]
     for r in range(cfg.replicas):

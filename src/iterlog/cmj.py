@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .dist import LatticeLaw, Law, Moments, RngStream, SmoothLaw, map_blocks
+from .dist import BLOCK_DRAWS, LatticeLaw, Law, Moments, RngStream, SmoothLaw, map_blocks
 from .renewal import ExponentialRenewal, RenewalTable, lattice_site, leading_term, lil_constant
 
 E = math.e
@@ -134,8 +134,6 @@ def _poisson_last(config: SimConfig) -> bool:
     return config.levels > 1 and config.grid is None and config.eta is None and exponential
 
 
-#: Walked draws a block of replicas aims at, so its arrays stay near 512 KiB.
-BLOCK_DRAWS = 1 << 16
 #: Most replicas in one block.
 MAX_BLOCK = 64
 

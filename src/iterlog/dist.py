@@ -214,6 +214,18 @@ class RngStream:
 #: checks can each own a contiguous range of replica indices.
 STREAM_BLOCK = 1 << 32
 
+#: Draws a simulator holds at once, so its arrays stay near 512 KiB: the
+#: target of a branching block, the chunk of a tree or Gaussian block.
+BLOCK_DRAWS = 1 << 16
+
+
+def row_chunks(rows: int, cells: int) -> list[int]:
+    """Row counts that split ``rows`` replicas of ``cells`` draws each into
+    chunks of max(1, BLOCK_DRAWS // cells) rows.  Drawing the chunks in
+    order from one generator draws what one (rows, cells) array draws."""
+    step = max(1, BLOCK_DRAWS // cells)
+    return [min(step, rows - start) for start in range(0, rows, step)]
+
 
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count: explicit argument or cpu count, capped by ITERLOG_THREADS."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import RngStream, map_blocks
+from .dist import RngStream, map_blocks, row_chunks
 from .renewal import RenewalTable, lattice_site
 
 
@@ -189,11 +189,15 @@ def b2k_ensemble(
 
 def _weighted_sums(b: int, rows: range, weights, h: float, seed: int, index: int) -> np.ndarray:
     """sum_j weights_j dW_j for each replica of block b, drawn on substream b
-    of (seed, index): block 0 repeats the stream's first draws."""
-    dw = RngStream(seed, index, b).generator().normal(0.0, math.sqrt(h), (len(rows), weights.size))
-    dw *= weights
+    of (seed, index): block 0 repeats the stream's first draws.  The rows are
+    drawn ``row_chunks(len(rows), weights.size)`` at a time from that one
+    generator, which draws what one (len(rows), weights.size) array draws."""
+    rng = RngStream(seed, index, b).generator()
     # per-row reduction instead of BLAS keeps results thread-count independent
-    return dw.sum(axis=1)
+    return np.concatenate([
+        (rng.normal(0.0, math.sqrt(h), (r, weights.size)) * weights).sum(axis=1)
+        for r in row_chunks(len(rows), weights.size)
+    ])
 
 
 def discrete_variance(weights: np.ndarray, h: float) -> float:

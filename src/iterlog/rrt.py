@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmj import lil_statistic
-from .dist import Moments, RngStream
+from .dist import Moments, RngStream, row_chunks
 from .renewal import leading_term
 
 #: The profile statistic needs log log log n > 0.
@@ -102,11 +102,15 @@ def _levels(parents: np.ndarray) -> np.ndarray:
     return lv
 
 
+def _check_block(n: int, rows: int) -> None:
+    if n < 1 or rows < 1:
+        raise ValueError("need n >= 1 and replicas >= 1")
+
+
 def _grow(n: int, rng: np.random.Generator, rows: int, yule: bool):
     """Epochs cumsum(Exp(1)/m) (rows, n) if ``yule``, else None, then levels of
     ``rows`` trees from one generator; vertex m attaches to floor(u * m)."""
-    if n < 1 or rows < 1:
-        raise ValueError("need n >= 1 and replicas >= 1")
+    _check_block(n, rows)
     m = np.arange(1, n + 1, dtype=np.float64)
     epochs = np.cumsum(rng.exponential(1.0, (rows, n)) / m, axis=1) if yule else None
     return epochs, _levels(
@@ -139,10 +143,14 @@ def grow_yule(n: int, k_max: int, stream: RngStream) -> ProfileTrace:
 
 
 def sample_profiles(n: int, k_max: int, stream: RngStream, replicas: int) -> np.ndarray:
-    """Final profiles (X_n(1..k_max)) of many independent trees, one row each:
-    one block on the stream, drawn as ``grow_discrete`` draws."""
+    """Final profiles (X_n(1..k_max)) of many independent trees, one row each,
+    drawn as ``grow_discrete`` draws.  The trees grow ``row_chunks(replicas, n)``
+    at a time from the stream's one generator, so the draws are those of one
+    (replicas, n) block while memory stays flat in ``replicas``."""
     _check_k_max(k_max)
-    return _profiles(_grow(n, stream.generator(), replicas, False)[1], k_max)
+    _check_block(n, replicas)
+    rng = stream.generator()
+    return np.concatenate([_profiles(_grow(n, rng, r, False)[1], k_max) for r in row_chunks(replicas, n)])
 
 
 def _profiles(levels: np.ndarray, k_max: int) -> np.ndarray:
@@ -161,10 +169,15 @@ def bernoulli_level1(n: int, stream: RngStream) -> int:
 
 
 def bernoulli_level1_sample(n: int, stream: RngStream, replicas: int) -> np.ndarray:
-    """Batch of independent Bernoulli-sum draws (one per replica)."""
+    """Batch of independent Bernoulli-sum draws (one per replica), from n
+    uniforms each, drawn ``row_chunks(replicas, n)`` replicas at a time as
+    one (replicas, n) array would draw them."""
+    _check_block(n, replicas)
     rng = stream.generator()
-    u = rng.random((replicas, n))
-    return (u * np.arange(1, n + 1) < 1.0).sum(axis=1).astype(np.int64)
+    j = np.arange(1, n + 1)
+    return np.concatenate(
+        [(rng.random((r, n)) * j < 1.0).sum(axis=1).astype(np.int64) for r in row_chunks(replicas, n)]
+    )
 
 
 def rrt_lil_statistic(xnk, n: int, k: int):

@@ -273,7 +273,6 @@ def check_rrt(seed: int, workers: int | None = None) -> list[CheckResult]:
     exact = rrt.enumerate_profiles(6)
     samples = map_blocks(_yule_profiles, 100_000, 1000, workers, 6, seed, _offset("c7a"))
     tv = rrt.total_variation(rrt.profile_pmf_from_samples(samples), exact)
-    del samples  # freed before (b) draws its 100k x 50 uniforms, the peak of the check
     out.append(CheckResult("c7_profile_tv", tv < 0.02, tv, 0.0, 0.02, "mc vs enumeration"))
 
     # (b) two-sample chi-square for the level-1 count at n = 50

@@ -181,6 +181,24 @@ def test_rrt_needs_a_level(capsys):
     assert captured.err.count("need k_max >= 1") == 2
 
 
+def test_rrt_needs_a_replica(capsys):
+    assert run(["rrt", "--n", "5", "--replicas", "0"]) == 2
+    assert run(["rrt", "--n", "5", "--replicas", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("need replicas >= 1") == 2
+
+
+def test_moments_needs_a_level(capsys):
+    assert run(["moments", "--law", "exp:rate=1", "--K", "0"]) == 2
+    assert run(["moments", "--law", "exp:rate=1", "--K", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("need K >= 1") == 2
+    assert run(["moments", "--law", "exp:rate=1", "--K", "1"]) == 0
+    assert json.loads(_capture(capsys))["a"] == [1.0]
+
+
 def test_rrt_csv(tmp_path):
     path = tmp_path / "rrt.csv"
     code = run(["rrt", "--n", "30", "--K", "2", "--replicas", "5", "--seed", "2",
@@ -255,6 +273,19 @@ def test_level1_chi2_p_value_pinned():
     # where scipy.stats gets imported must not move the seed-7 p-value
     (chi2,) = [c for c in verify.run_check("c7", 7) if c.name == "c7_level1_chi2"]
     assert chi2.computed == 0.4387597097276895
+
+
+@pytest.mark.parametrize(
+    "check, pinned",
+    [
+        ("c7", {"c7_profile_tv": 0.004276666666666665, "c7_level1_mean": 0.26409018890654695}),
+        ("c8", {"c8_b1_variance": 323.49148717957263, "c8_b2_lattice_variance": 8.284471566118645}),
+    ],
+)
+def test_tree_and_gauss_values_pinned(check, pinned):
+    # drawing the tree and Gaussian blocks a chunk at a time must not move a seed-7 value
+    computed = {c.name: c.computed for c in verify.run_check(check, 7)}
+    assert {name: computed[name] for name in pinned} == pinned
 
 
 def test_scipy_stats_loaded_only_by_commands_that_need_it():

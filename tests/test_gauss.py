@@ -2,15 +2,17 @@
 integrals vs exact quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iterlog.dist import LatticeLaw, RngStream, geometric_lattice
+from iterlog.dist import LatticeLaw, RngStream, geometric_lattice, row_chunks
 from iterlog.gauss import (
     BmPath,
     FkTable,
+    _weighted_sums,
     b1k,
     b1k_ensemble,
     b2k,
@@ -228,3 +230,28 @@ def test_bm_path_validation():
     path = BmPath(0.1, np.zeros(11))
     with pytest.raises(ValueError, match="horizon"):
         b1k(path, 1, 2.0)
+
+
+def test_weighted_sums_chunks_draw_one_block():
+    # 1000 steps: 65 rows a chunk, so a block of 200 rows fills three chunks and a ragged fourth
+    steps, rows, h = 1000, 200, 0.01
+    assert row_chunks(rows, steps) == [65, 65, 65, 5]
+    weights = (10.0 - h * np.arange(steps)) ** 2
+    for b in (0, 3):
+        dw = RngStream(17, 4, b).generator().normal(0.0, math.sqrt(h), (rows, steps))
+        dw *= weights
+        expected = dw.sum(axis=1)
+        got = _weighted_sums(b, range(rows), weights, h, 17, 4)
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_weighted_sums_memory_flat_in_rows():
+    # one block of the c8 shape; one (128, 20000) array would hold 20 MB of normals
+    weights = np.linspace(1.0, 2.0, 20_000)
+    tracemalloc.start()
+    try:
+        _weighted_sums(0, range(128), weights, 0.005, 5, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

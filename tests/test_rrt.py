@@ -2,13 +2,14 @@
 and the profile statistic.  n counts non-root vertices throughout."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from iterlog.cmj import lil_statistic
-from iterlog.dist import RngStream, SmoothLaw
+from iterlog.dist import RngStream, SmoothLaw, row_chunks
 from iterlog.renewal import leading_term
 from iterlog.verify import check_rrt
 from iterlog.rrt import (
@@ -277,3 +278,58 @@ def test_grower_conservation_property(n, seed):
     assert trace.levels[0] == 0
     assert np.all(trace.levels[1:] >= 1)
     assert trace.counts(int(trace.levels.max())).sum() == n
+
+
+# 50 uniforms a tree: 1310 trees a chunk, so 4000 trees fill three chunks and a ragged fourth
+CHUNKED_N, CHUNKED_REPS = 50, 4000
+
+
+def test_sample_profiles_chunks_draw_one_block():
+    n, reps, k_max = CHUNKED_N, CHUNKED_REPS, 3
+    assert row_chunks(reps, n) == [1310, 1310, 1310, 70]
+    # one-shot: all parent uniforms as one (reps, n) array, then one level kernel
+    u = RngStream(71, 5).generator().random((reps, n))
+    levels = _levels((u * np.arange(1, n + 1)).astype(np.int32))
+    expected = np.stack([(levels == k).sum(axis=1) for k in range(1, k_max + 1)], axis=1)
+    got = sample_profiles(n, k_max, RngStream(71, 5), reps)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
+
+
+def test_bernoulli_sample_chunks_draw_one_block():
+    n, reps = CHUNKED_N, CHUNKED_REPS
+    u = RngStream(73, 2).generator().random((reps, n))
+    expected = (u * np.arange(1, n + 1) < 1.0).sum(axis=1)
+    got = bernoulli_level1_sample(n, RngStream(73, 2), reps)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
+
+
+def test_samplers_refuse_empty_blocks():
+    for call in (
+        lambda: sample_profiles(5, 1, RngStream(0, 0), 0),
+        lambda: sample_profiles(0, 1, RngStream(0, 0), 3),
+        lambda: bernoulli_level1_sample(5, RngStream(0, 0), 0),
+        lambda: bernoulli_level1_sample(0, RngStream(0, 0), 3),
+    ):
+        with pytest.raises(ValueError, match="need n >= 1 and replicas >= 1"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sample_profiles(50, 1, RngStream(3, 0), 100_000),
+        lambda: bernoulli_level1_sample(50, RngStream(3, 1), 100_000),
+    ],
+    ids=["sample_profiles", "bernoulli_level1_sample"],
+)
+def test_sampler_memory_flat_in_replicas(call):
+    # one (100000, 50) block would hold 40 MB of uniforms alone
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
