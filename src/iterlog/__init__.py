@@ -16,15 +16,12 @@ from .renewal import (
     AsymptoticConstants,
     ExponentialRenewal,
     RenewalTable,
-    check_subadditivity,
     convolve_levels,
-    increment_asymptote,
     leading_term,
     lil_constant,
     perturbed_table,
     renewal_sequence,
     renewal_table,
-    second_order,
 )
 from .cmj import (
     FluctuationParts,
@@ -39,13 +36,11 @@ from .cmj import (
 )
 from .rrt import (
     ProfileTrace,
-    YuleClock,
-    bernoulli_level1,
     enumerate_profiles,
     grow_discrete,
     grow_yule,
     rrt_lil_statistic,
 )
-from .gauss import BmPath, FkTable, b1k, b2k, sample_bm, variance_b2k
+from .gauss import BmPath, FkTable, b2k, sample_bm, variance_b2k
 
 __version__ = "0.1.0"

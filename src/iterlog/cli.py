@@ -1,7 +1,8 @@
 """Command-line front end: reproducible experiments, CSV/JSON/SVG reports.
 
 Subcommands: moments, renewal, simulate, mc, rrt, gauss, verify.  A JSON
-config file can mirror any flag; explicit flags win.  Exit codes: 0 ok,
+config file can mirror any flag; explicit flags win, and a file is checked as
+the flags are.  Each subcommand writes only its own formats.  Exit codes: 0 ok,
 1 a gated verification check failed, 2 usage error.
 
 All numeric CSV output uses 17 significant digits so files round-trip and
@@ -24,6 +25,13 @@ from .plot import Series, emit_plot
 
 _G17 = "{:.17g}".format
 
+#: Values of the fields whose flags take one of a fixed set.
+_CHOICES = {"fmt": ("csv", "json", "text", "svg"), "mode": ("yule", "discrete"), "suite": ("fast", "full")}
+
+#: Formats a subcommand writes, its default first (simulate and rrt: see ``_formats``).
+_FORMATS = {"moments": ("json",), "renewal": ("csv", "json"), "mc": ("csv", "json"),
+            "gauss": ("csv", "json"), "verify": ("text", "json")}
+
 
 @dataclass
 class ExperimentConfig:
@@ -41,7 +49,7 @@ class ExperimentConfig:
     seed: int = 0
     grid: str | None = None
     out: str | None = None
-    fmt: str = "csv"
+    fmt: str | None = None  # None until resolved: the subcommand's default
     suite: str = "fast"
     checks: str | None = None
     plot: str | None = None
@@ -51,9 +59,14 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(**d)
+
+def _formats(cfg: ExperimentConfig) -> tuple[str, ...]:
+    """Formats the resolved subcommand writes, its default first."""
+    if cfg.subcommand == "simulate":
+        return ("csv", "svg") if cfg.grid else ("json",)
+    if cfg.subcommand == "rrt":
+        return ("csv",) if cfg.enumerate_n is None else ("json",)
+    return _FORMATS[cfg.subcommand]
 
 
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
@@ -63,6 +76,13 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
     cfg = ExperimentConfig(args.subcommand)
+    if not isinstance(file_cfg, dict):
+        raise ValueError("config file must hold a JSON object")
+    for name, value in file_cfg.items():
+        if name not in vars(cfg):
+            raise ValueError(f"unknown config key {name!r}")
+        if name in _CHOICES and value not in _CHOICES[name]:
+            raise ValueError(f"config {name} must be one of {', '.join(_CHOICES[name])}, got {value!r}")
     for name in vars(cfg):
         if name == "subcommand":
             continue
@@ -71,6 +91,11 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
             setattr(cfg, name, cli_val)
         elif name in file_cfg:
             setattr(cfg, name, file_cfg[name])
+    formats = _formats(cfg)
+    if cfg.fmt is None:
+        cfg.fmt = formats[0]
+    elif cfg.fmt not in formats:
+        raise ValueError(f"{cfg.subcommand} writes {' or '.join(formats)}, not {cfg.fmt}")
     return cfg
 
 
@@ -123,7 +148,7 @@ def _cmd_renewal(cfg: ExperimentConfig) -> int:
     eta = parse_law(cfg.eta) if cfg.eta else None
     # json prints only constants, which do not depend on N; a one-site table refuses the same input
     n = min(cfg.n, 0) if cfg.fmt == "json" else cfg.n
-    renewal._check_guard(cfg.levels, cfg.n, renewal.MAX_TABLE_ENTRIES)
+    renewal._check_guard(cfg.levels, cfg.n)
     if eta:
         chain = renewal.perturbed_table(renewal.renewal_sequence(law, n), law.span, eta, n, law.moments().mean)
         table = renewal.convolve_levels(chain, cfg.levels)
@@ -160,7 +185,7 @@ def _sim_config(cfg: ExperimentConfig) -> cmj.SimConfig:
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
     config = _sim_config(cfg)
     sim = cmj.simulate_generations(config, 0)
-    if config.grid is not None and cfg.fmt == "svg":
+    if cfg.fmt == "svg":
         if not cfg.out:
             raise ValueError("SVG output needs --out")
         series = [
@@ -311,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--config", help="JSON file mirroring flags; flags override")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json", "text", "svg"))
+        p.add_argument("--format", dest="fmt", choices=_CHOICES["fmt"])
         p.add_argument("--seed", type=int)
         p.add_argument("--dump-config", dest="dump_config", help="write the resolved config JSON")
         return p
@@ -344,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--K", dest="levels", type=int)
     p.add_argument("--replicas", type=int)
-    p.add_argument("--mode", choices=("yule", "discrete"))
+    p.add_argument("--mode", choices=_CHOICES["mode"])
     p.add_argument("--enumerate", dest="enumerate_n", type=int, help="exact pmf by enumeration")
 
     p = add("gauss", help="weighted Brownian sums and variance identities")
@@ -355,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int)
 
     p = add("verify", help="run the named verification checks")
-    p.add_argument("--suite", choices=("fast", "full"))
+    p.add_argument("--suite", choices=_CHOICES["suite"])
     p.add_argument("--checks", help="comma list of check names instead of a suite")
     p.add_argument("--plot", help="also write the fluctuation-band SVG to this path")
     return parser

@@ -303,15 +303,6 @@ def parse_law(spec: str) -> Law:
     raise ValueError(f"bad law spec {spec!r}: unknown family {family!r}")
 
 
-def format_law(law: Law) -> str:
-    """Inverse of parse_law, up to float rendering."""
-    if isinstance(law, LatticeLaw):
-        p = ",".join(f"{x:.17g}" for x in law.pmf)
-        return f"lattice:d={law.span:.17g};p={p}"
-    kv = ",".join(f"{k}={v:.17g}" for k, v in law.params.items())
-    return f"{law.family}:{kv}"
-
-
 def _kv(text: str) -> dict:
     out = {}
     for item in text.split(","):

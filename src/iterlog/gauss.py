@@ -17,6 +17,9 @@ import numpy as np
 from .dist import RngStream, map_blocks, row_chunks
 from .renewal import RenewalTable, lattice_site
 
+#: Replicas per block of the Gaussian ensembles; the block fixes the draws.
+BLOCK_ROWS = 128
+
 
 @dataclass
 class BmPath:
@@ -24,10 +27,6 @@ class BmPath:
 
     h: float
     values: np.ndarray
-
-    @property
-    def horizon(self) -> float:
-        return (self.values.size - 1) * self.h
 
 
 def _check_step(t_max: float, h: float) -> None:
@@ -46,30 +45,14 @@ def sample_bm(t_max: float, h: float, stream: RngStream) -> BmPath:
     return BmPath(h, w)
 
 
-def _cells_below(path: BmPath, t: float) -> int:
-    """Grid cells below t, a t that rounds to just below a grid point on it."""
-    x = t / path.h
-    # -lattice_site(-x) is the number of cells that cover [0, t]
-    if x < 0 or -lattice_site(-x) > path.values.size - 1:
-        raise ValueError("t outside path horizon")
-    return int(lattice_site(x))
+def _cells_below(t: float, h: float) -> int:
+    """Grid cells of step h below t, a t that rounds to just below a grid point on it."""
+    return int(lattice_site(t / h))
 
 
-def _path_sum(path: BmPath, t: float, weight) -> float:
-    """sum_j weight(t - x_j) dW_j over the grid cells below t (left points x_j)."""
-    m = _cells_below(path, t)
-    lags = t - path.h * np.arange(m, dtype=np.float64)
-    return float(np.dot(weight(lags), np.diff(path.values[: m + 1])))
-
-
-def b1k(path: BmPath, k: int, t: float) -> float:
-    """sum_j (t - x_j)^{k-1} dW_j over grid cells below t (left points x_j)."""
-    if k < 1:
-        raise ValueError("level must be >= 1")
-    if k == 1:
-        # unit weights telescope: the sum is W at the last grid point
-        return float(path.values[_cells_below(path, t)] - path.values[0])
-    return _path_sum(path, t, lambda lag: lag ** (k - 1))
+def _weights(weight, t: float, h: float) -> np.ndarray:
+    """weight(t - x_j) at the left points x_j = j h of the grid cells below t."""
+    return weight(t - h * np.arange(_cells_below(t, h), dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -131,9 +114,14 @@ def _check_grid(fk: FkTable, h: float, t: float) -> None:
 
 
 def b2k(path: BmPath, fk: FkTable, t: float) -> float:
-    """sum_j f_k(t - x_j) dW_j; the step grid must sit on the path grid."""
+    """sum_j f_k(t - x_j) dW_j over the grid cells below t (left points x_j);
+    the step grid must sit on the path grid."""
     _check_grid(fk, path.h, t)
-    return _path_sum(path, t, fk.evaluate)
+    # -lattice_site(-x) is the number of cells that cover [0, t]
+    if t < 0 or -lattice_site(-t / path.h) > path.values.size - 1:
+        raise ValueError("t outside path horizon")
+    g = _weights(fk.evaluate, t, path.h)
+    return float(np.dot(g, np.diff(path.values[: g.size + 1])))
 
 
 def variance_b2k(fk: FkTable, n: float) -> float:
@@ -165,26 +153,23 @@ def variance_b2k(fk: FkTable, n: float) -> float:
 
 
 def b1k_ensemble(
-    k: int, t: float, h: float, replicas: int, stream: RngStream, block: int = 128,
-    workers: int | None = None,
+    k: int, t: float, h: float, replicas: int, stream: RngStream, workers: int | None = None
 ) -> np.ndarray:
-    """Independent B1 values; see ``_weighted_sums`` for the streams."""
+    """Independent values of sum_j (t - x_j)^{k-1} dW_j over the grid cells
+    below t; see ``_weighted_sums`` for the streams."""
     _check_step(t, h)
-    x = h * np.arange(int(round(t / h)), dtype=np.float64)
-    args = ((t - x) ** (k - 1), h, stream.seed, stream.index)
-    return map_blocks(_weighted_sums, replicas, block, workers, *args)
+    args = (_weights(lambda lag: lag ** (k - 1), t, h), h, stream.seed, stream.index)
+    return map_blocks(_weighted_sums, replicas, BLOCK_ROWS, workers, *args)
 
 
 def b2k_ensemble(
-    fk: FkTable, t: float, h: float, replicas: int, stream: RngStream, block: int = 128,
-    workers: int | None = None,
+    fk: FkTable, t: float, h: float, replicas: int, stream: RngStream, workers: int | None = None
 ) -> np.ndarray:
-    """Independent B2 values; see ``_weighted_sums`` for the streams."""
+    """Independent ``b2k`` values; see ``_weighted_sums`` for the streams."""
     _check_step(t, h)
     _check_grid(fk, h, t)
-    x = h * np.arange(int(round(t / h)), dtype=np.float64)
-    args = (fk.evaluate(t - x), h, stream.seed, stream.index)
-    return map_blocks(_weighted_sums, replicas, block, workers, *args)
+    args = (_weights(fk.evaluate, t, h), h, stream.seed, stream.index)
+    return map_blocks(_weighted_sums, replicas, BLOCK_ROWS, workers, *args)
 
 
 def _weighted_sums(b: int, rows: range, weights, h: float, seed: int, index: int) -> np.ndarray:
@@ -198,8 +183,3 @@ def _weighted_sums(b: int, rows: range, weights, h: float, seed: int, index: int
         (rng.normal(0.0, math.sqrt(h), (r, weights.size)) * weights).sum(axis=1)
         for r in row_chunks(len(rows), weights.size)
     ])
-
-
-def discrete_variance(weights: np.ndarray, h: float) -> float:
-    """Exact variance h * sum g^2 of the discretized weighted sum."""
-    return h * math.fsum((weights * weights).tolist())

@@ -2,7 +2,8 @@
 
 Builds the renewal sequence u_n and the level tables V_k(nd) by the recurrence
 V_k (1 - P) = P V_{k-1}, the perturbed variants V*_k by discrete Stieltjes
-convolution, and every closed-form constant and expansion attached to them.
+convolution, the closed forms the checks compare them with (the leading term,
+the expansion constants, the LIL normalization) and the subadditivity sweep.
 Sums add nonnegative doubles in one fixed order, independent of BLAS threads,
 integer exact for deterministic laws; against exact integers the standard
 tables are within 3.4e-15 relative for n <= 1000 and 1.9e-13 for n <= 16000.
@@ -23,16 +24,12 @@ MAX_TABLE_ENTRIES = 100_000_000
 
 @dataclass
 class RenewalTable:
-    """Arrays V_k(nd) for k = 1..K on the grid n = 0..N.
-
-    ``values[k-1, n]`` is V_k(nd); ``kind`` is "standard" for the plain walk
-    or "perturbed" for the V*_k chain.
-    """
+    """Arrays V_k(nd) for k = 1..K on the grid n = 0..N, of the plain walk
+    or of the perturbed V*_k chain: ``values[k-1, n]`` is V_k(nd)."""
 
     span: float
     values: np.ndarray  # shape (K, N+1)
     mu: float
-    kind: str = "standard"
 
     @property
     def levels(self) -> int:
@@ -62,10 +59,10 @@ def lattice_site(x):
     return (x + 1e-9 * (1.0 + abs(x))) // 1
 
 
-def _check_guard(levels: int, n: int, max_entries: int) -> None:
+def _check_guard(levels: int, n: int) -> None:
     if n < 0:
         raise ValueError("horizon must be nonnegative")
-    if levels * (n + 1) > max_entries:
+    if levels * (n + 1) > MAX_TABLE_ENTRIES:
         raise ValueError("horizon too large: table would exceed the memory guard")
 
 
@@ -85,11 +82,11 @@ def _recurrence_levels(law: LatticeLaw, x: np.ndarray, levels: int) -> np.ndarra
     return out
 
 
-def renewal_sequence(law: LatticeLaw, n_max: int, max_entries: int = MAX_TABLE_ENTRIES) -> np.ndarray:
+def renewal_sequence(law: LatticeLaw, n_max: int) -> np.ndarray:
     """The sequence u_n = P{some walk point hits site nd}, n = 0..n_max: u_0 = 1 and
     u_n = sum_{m} p_m u_{n-m}, the impulse response of 1/(1 - P) = 1 + P/(1 - P).
     Partial sums of u give U(nd), and U - 1 = V."""
-    _check_guard(1, n_max, max_entries)
+    _check_guard(1, n_max)
     u = _recurrence_levels(law, np.eye(1, n_max + 1)[0], 1)[0]
     u[0] = 1.0
     return u
@@ -123,24 +120,20 @@ def _convolve_stieltjes(du: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def renewal_table(
-    law: LatticeLaw, levels: int, n_max: int, max_entries: int = MAX_TABLE_ENTRIES
-) -> RenewalTable:
+def renewal_table(law: LatticeLaw, levels: int, n_max: int) -> RenewalTable:
     """Exact table of V_1..V_K on the lattice grid: V_k (1 - P) = P V_{k-1}, V_0 = 1/(1 - z)."""
     if levels < 1:
         raise ValueError("need at least one level")
-    _check_guard(levels, n_max, max_entries)
+    _check_guard(levels, n_max)
     values = _recurrence_levels(law, np.ones(n_max + 1, dtype=np.float64), levels)
     return RenewalTable(law.span, values, law.moments().mean)
 
 
-def convolve_levels(
-    table: RenewalTable, levels: int, max_entries: int = MAX_TABLE_ENTRIES
-) -> RenewalTable:
+def convolve_levels(table: RenewalTable, levels: int) -> RenewalTable:
     """Extend a table to K = levels via V_k = V_{k-1} * dV (level-1 increments)."""
     if levels < 1:
         raise ValueError("need at least one level")
-    _check_guard(levels, table.horizon, max_entries)
+    _check_guard(levels, table.horizon)
     if levels <= table.levels:
         return table
     du = np.diff(table.values[0], prepend=0.0)
@@ -148,17 +141,10 @@ def convolve_levels(
     vals[: table.levels] = table.values
     for k in range(table.levels + 1, levels + 1):
         vals[k - 1] = _convolve_stieltjes(du, vals[k - 2])
-    return RenewalTable(table.span, vals, table.mu, table.kind)
+    return RenewalTable(table.span, vals, table.mu)
 
 
-def perturbed_table(
-    u: np.ndarray,
-    span: float,
-    eta: LatticeLaw,
-    n_max: int,
-    mu: float,
-    max_entries: int = MAX_TABLE_ENTRIES,
-) -> RenewalTable:
+def perturbed_table(u: np.ndarray, span: float, eta: LatticeLaw, n_max: int, mu: float) -> RenewalTable:
     """Level-1 perturbed table V*(nd) = sum_m q_m U((n-m)d).
 
     ``u`` is the renewal sequence of the step law on span ``span``; the
@@ -169,26 +155,23 @@ def perturbed_table(
         raise ValueError("perturbation law must be lattice")
     if abs(eta.span - span) > 1e-12 * max(span, eta.span):
         raise ValueError("incommensurable lattices: step and perturbation spans differ")
-    _check_guard(1, n_max, max_entries)
+    _check_guard(1, n_max)
     if n_max > u.size - 1:
         raise ValueError("renewal sequence shorter than requested horizon")
     big_u = _cumsum_exact(u[: n_max + 1])
     v_star = _convolve_stieltjes(np.concatenate(([0.0], eta.pmf)), big_u)
-    return RenewalTable(span, v_star[np.newaxis, :], mu, kind="perturbed")
+    return RenewalTable(span, v_star[np.newaxis, :], mu)
 
 
 @dataclass(frozen=True)
 class ExponentialRenewal:
-    """Closed-form level evaluator for the exponential step law.
-
-    The level-k expectation is (rate*t)^k / k! for every t >= 0, which is
-    what the test suite leans on when no lattice table exists.
-    """
+    """Closed-form level evaluator for the exponential step law: the level-k
+    expectation is its leading term (rate*t)^k / k! for every t >= 0."""
 
     rate: float = 1.0
 
     def at(self, k: int, t: float) -> float:
-        return (self.rate * t) ** k / math.factorial(k)
+        return leading_term(k, 1.0 / self.rate, t)
 
 
 @dataclass(frozen=True)
@@ -281,31 +264,6 @@ def leading_term(k: int, mu: float, t: float) -> float:
     return t**k / (math.factorial(k) * mu**k)
 
 
-def increment_asymptote(k: int, mu: float, h: float, t: float, span: float | None = None) -> float:
-    """Limit value of (V_k(t+h) - V_k(t)) / t^{k-1}: h t^{k-1}/((k-1)! mu^k).
-
-    In the lattice case h must sit on the lattice.
-    """
-    if span is not None:
-        ratio = h / span
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("increment not on lattice")
-    return h * t ** (k - 1) / (math.factorial(k - 1) * mu**k)
-
-
-def second_order(k: int, constants: AsymptoticConstants, t: float, mode: str) -> float:
-    """Second-order term of V_k (nonlattice) or V*_k (lattice) at t.
-
-    nonlattice: b k t^{k-1} / ((k-1)! mu^{k-1})
-    lattice:    C_k (nd)^{k-1} / (mu^{k-1} (k-1)!), evaluated at t = nd
-    """
-    if mode == "nonlattice":
-        return constants.b * k * t ** (k - 1) / (math.factorial(k - 1) * constants.mu ** (k - 1))
-    if mode == "lattice":
-        return constants.c_k * t ** (k - 1) / (constants.mu ** (k - 1) * math.factorial(k - 1))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def lil_constant(k: int, mu: float, sigma: float) -> float:
     """a_k = sigma^{-1} mu^{k+1/2} (k-1)! sqrt(2k-1)."""
     if k < 1 or mu <= 0:
@@ -315,30 +273,13 @@ def lil_constant(k: int, mu: float, sigma: float) -> float:
     return mu ** (k + 0.5) * math.factorial(k - 1) * math.sqrt(2.0 * k - 1.0) / sigma
 
 
-def check_subadditivity(table: RenewalTable, x: int, h: int, k: int) -> tuple[bool, float]:
-    """Check V_k(x+h) - V_k(x) <= (V(h)+1) V(x+h)^{k-1} at grid indices x, h.
+def subadditivity_sweep(table: RenewalTable, k_max: int) -> tuple[int, float]:
+    """Exhaustive sweep of V_k(x+h) - V_k(x) <= (V(h)+1) V(x+h)^{k-1} for k <= k_max.
 
-    Returns (holds, slack) with slack = right side minus left side.
+    Returns (violations, minimum slack, right side minus left side) over all
+    grid pairs (x, h) with x + h within the table.
     """
-    if x < 0 or h < 0 or x + h > table.horizon:
-        raise ValueError("arguments off the table grid")
-    vk = table.level(k)
-    v1 = table.level(1)
-    left = vk[x + h] - vk[x]
-    right = (v1[h] + 1.0) * v1[x + h] ** (k - 1)
-    slack = right - left
-    return slack >= 0.0, slack
-
-
-def subadditivity_sweep(table: RenewalTable, k_max: int, n_max: int | None = None) -> tuple[int, float]:
-    """Exhaustive (x, h) sweep of the subadditivity bound for k <= k_max.
-
-    Returns (violations, minimum slack) over all grid pairs with
-    x + h <= n_max.
-    """
-    n = table.horizon if n_max is None else n_max
-    if n > table.horizon:
-        raise ValueError("sweep bound exceeds table horizon")
+    n = table.horizon
     violations = 0
     min_slack = math.inf
     v1 = table.level(1)

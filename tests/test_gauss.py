@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iterlog import gauss
 from iterlog.dist import LatticeLaw, RngStream, geometric_lattice, row_chunks
 from iterlog.gauss import (
     BmPath,
     FkTable,
+    _cells_below,
     _weighted_sums,
-    b1k,
+    _weights,
     b1k_ensemble,
     b2k,
     b2k_ensemble,
-    discrete_variance,
     sample_bm,
     variance_b2k,
 )
@@ -28,11 +29,16 @@ UNIT = LatticeLaw(1.0, np.array([1.0]))
 GEOM = geometric_lattice(0.5)
 
 
+def discrete_variance(weights: np.ndarray, h: float) -> float:
+    """Exact variance h * sum g^2 of the discretized weighted sum (the isometry)."""
+    return h * math.fsum((weights * weights).tolist())
+
+
 def test_path_start_and_shape():
     path = sample_bm(10.0, 0.01, RngStream(1, 0))
     assert path.values[0] == 0.0
     assert path.values.size == 1001
-    assert path.horizon == pytest.approx(10.0)
+    assert (path.values.size - 1) * path.h == pytest.approx(10.0)
 
 
 def test_path_variance():
@@ -49,14 +55,34 @@ def test_disjoint_increments_uncorrelated():
 
 
 def test_b1_level_one_is_path_value():
+    # unit weights telescope: B1 is W at the last grid point below t, and one
+    # replica draws the stream's first normals, as the path does
     path = sample_bm(5.0, 0.25, RngStream(4, 0))
-    assert b1k(path, 1, 5.0) == path.values[-1]
-    assert b1k(path, 1, 2.5) == path.values[10]
+    for t, j in ((5.0, 20), (2.5, 10), (2.6, 10), (2.7, 10)):
+        b1 = b1k_ensemble(1, t, 0.25, 1, RngStream(4, 0))[0]
+        assert b1 == pytest.approx(path.values[j], rel=1e-12, abs=1e-12)
 
 
 def test_b1_at_zero():
+    # no grid cell lies below t = 0: the weights are empty and the sum is zero
+    assert _weights(lambda lag: lag, 0.0, 0.1).size == 0
     path = sample_bm(1.0, 0.1, RngStream(5, 0))
-    assert b1k(path, 2, 0.0) == 0.0
+    assert b2k(path, FkTable.from_renewal(renewal_table(GEOM, 1, 2), 2), 0.0) == 0.0
+
+
+@pytest.mark.parametrize("t", [10.0, 10.04], ids=["on_grid", "off_grid"])
+def test_b2k_is_row_zero_of_its_ensemble(t):
+    # 200 cells lie below both values of t.  The path's increments are the
+    # first normals of the ensemble's block 0, so the sums differ by rounding
+    # only: each W_{j+1} - W_j of the running sum is off by a few ulp of max |W|,
+    # within the stated 1e-12 * sum |g| * max |W|
+    h = 0.05
+    fk = FkTable.from_renewal(renewal_table(GEOM, 1, 11), 2)
+    path = sample_bm(t, h, RngStream(13, 2))
+    row = b2k_ensemble(fk, t, h, 1, RngStream(13, 2))[0]
+    g = fk.evaluate(t - h * np.arange(200))
+    tol = 1e-12 * np.abs(g).sum() * np.abs(path.values).max()
+    assert abs(b2k(path, fk, t) - row) <= tol
 
 
 def test_b1_variance_matches_discrete_isometry():
@@ -164,10 +190,10 @@ def test_variance_b2k_exactness_property(weights, k):
     assert exact == pytest.approx(riemann, rel=2e-3, abs=2e-3)
 
 
-def _ensembles(replicas, stream, workers, block=128):
+def _ensembles(replicas, stream, workers):
     fk = FkTable.from_renewal(renewal_table(GEOM, 1, 20), 2)
-    b1 = b1k_ensemble(2, 10.0, 0.05, replicas, stream, block, workers)
-    b2 = b2k_ensemble(fk, 10.0, 0.05, replicas, stream, block, workers)
+    b1 = b1k_ensemble(2, 10.0, 0.05, replicas, stream, workers)
+    b2 = b2k_ensemble(fk, 10.0, 0.05, replicas, stream, workers)
     return b1, b2
 
 
@@ -188,13 +214,14 @@ def test_ensemble_block_zero_is_the_stream_prefix():
     assert np.array_equal(b1[:128], (dw * weights).sum(axis=1))
 
 
-def test_ensemble_blocks_draw_distinct_substreams():
+def test_ensemble_blocks_draw_distinct_substreams(monkeypatch):
     b1, b2 = _ensembles(256, RngStream(11, 3), workers=1)
     next_index, _ = _ensembles(256, RngStream(11, 4), workers=1)
     assert not np.any(b1[128:] == b1[:128])
     assert not np.any(b1[128:] == next_index[:128])
     # the block size fixes the values: rows past the first block move with it
-    small, _ = _ensembles(256, RngStream(11, 3), workers=1, block=64)
+    monkeypatch.setattr(gauss, "BLOCK_ROWS", 64)
+    small, _ = _ensembles(256, RngStream(11, 3), workers=1)
     assert np.array_equal(small[:64], b1[:64])
     assert not np.array_equal(small[64:128], b1[64:128])
 
@@ -209,12 +236,13 @@ def test_sites_at_non_unit_span():
     # n * 0.7 by more than 1e-9 / 0.7 from n = 7299 on; they still sit on site n
     n = 10_000
     sites = np.cumsum(np.full(n, 0.7))
-    fk = FkTable.from_renewal(renewal_table(LatticeLaw(0.7, np.array([1.0])), 1, n), 2)
+    fk = FkTable.from_renewal(renewal_table(LatticeLaw(0.7, np.array([1.0])), 1, n + 1), 2)
     assert np.max(np.abs(fk.evaluate(sites))) < 1e-6  # f_2 = V_1(t) - t / 0.7 on sites
+    assert [_cells_below(t, 0.7) for t in sites] == list(range(1, n + 1))
     path = sample_bm(n * 0.7, 0.7, RngStream(12, 0))
-    assert [b1k(path, 1, t) for t in sites] == path.values[1:].tolist()
+    assert math.isfinite(b2k(path, fk, sites[-1]))  # the drifted last site is on the path
     with pytest.raises(ValueError, match="horizon"):
-        b1k(path, 1, n * 0.7 + 0.35)
+        b2k(path, fk, n * 0.7 + 0.35)
 
 
 @pytest.mark.parametrize("h", [0.0, -0.1, 2.0])
@@ -228,8 +256,10 @@ def test_bm_path_validation():
     with pytest.raises(ValueError):
         sample_bm(0.5, 1.0, RngStream(0, 0))
     path = BmPath(0.1, np.zeros(11))
-    with pytest.raises(ValueError, match="horizon"):
-        b1k(path, 1, 2.0)
+    for t in (2.0, 1.05, -0.1):
+        with pytest.raises(ValueError, match="horizon"):
+            b2k(path, FkTable.exponential(2), t)
+    assert b2k(path, FkTable.exponential(2), 1.0) == 0.0
 
 
 def test_weighted_sums_chunks_draw_one_block():

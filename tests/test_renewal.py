@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,19 +16,17 @@ from hypothesis import given, settings, strategies as st
 import iterlog
 from iterlog.dist import LatticeLaw, SmoothLaw, geometric_lattice
 from iterlog.renewal import (
+    MAX_TABLE_ENTRIES,
     AsymptoticConstants,
     ExponentialRenewal,
     RenewalTable,
     _convolve_stieltjes,
-    check_subadditivity,
     convolve_levels,
-    increment_asymptote,
     leading_term,
     lil_constant,
     perturbed_table,
     renewal_sequence,
     renewal_table,
-    second_order,
     subadditivity_sweep,
     write_table_csv,
 )
@@ -163,8 +162,21 @@ def test_perturbed_table_bad_input():
 def test_memory_guard():
     with pytest.raises(ValueError, match="horizon too large"):
         renewal_table(GEOM, 5, 50_000_000)
-    with pytest.raises(ValueError, match="horizon too large"):
-        renewal_table(GEOM, 1, 100, max_entries=50)
+    # one entry over the cap is refused before anything is allocated
+    u = renewal_sequence(GEOM, 10)
+    tracemalloc.start()
+    try:
+        for build in (
+            lambda: renewal_table(GEOM, 1, MAX_TABLE_ENTRIES),
+            lambda: renewal_sequence(GEOM, MAX_TABLE_ENTRIES),
+            lambda: perturbed_table(u, 1.0, GEOM, MAX_TABLE_ENTRIES, 2.0),
+        ):
+            with pytest.raises(ValueError, match="horizon too large"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_leading_term_values():
@@ -173,13 +185,8 @@ def test_leading_term_values():
     # Poisson case identity: the level expectation is exactly the leading term
     exp_eval = ExponentialRenewal(1.0)
     assert exp_eval.at(2, 10.0) == leading_term(2, 1.0, 10.0)
-
-
-def test_increment_asymptote():
-    assert increment_asymptote(1, 2.0, 1.0, 100.0) == 0.5  # h / mu
-    assert increment_asymptote(2, 2.0, 1.0, 100.0) == 25.0
-    with pytest.raises(ValueError, match="increment not on lattice"):
-        increment_asymptote(2, 2.0, 0.3, 100.0, span=1.0)
+    # at rate 2 the mean step is 1/2: (2 t)^k / k!
+    assert ExponentialRenewal(2.0).at(3, 1.5) == pytest.approx(27.0 / 6.0, rel=1e-15)
 
 
 def test_increment_against_exact_table():
@@ -192,7 +199,6 @@ def test_increment_against_exact_table():
 def test_second_order_exponential_vanishes():
     const = AsymptoticConstants.from_moments(3, SmoothLaw("exp", {"rate": 1.0}).moments())
     assert const.b == 0.0
-    assert second_order(3, const, 50.0, "nonlattice") == 0.0
 
 
 def test_lattice_constants_against_exact_tables():
@@ -211,8 +217,6 @@ def test_lattice_constants_against_exact_tables():
             const = AsymptoticConstants.from_moments(k, m, span=law.span, eta_mean=mu)
             residual = table.level(k)[n] - leading_term(k, mu, float(n))
             normalized = residual * mu ** (k - 1) * math.factorial(k - 1) / n ** (k - 1)
-            predicted = second_order(k, const, float(n), "lattice") * mu ** (k - 1) * math.factorial(k - 1) / n ** (k - 1)
-            assert predicted == pytest.approx(const.c_k)
             if abs(const.c_k) > 1e-12:
                 assert abs(normalized / const.c_k - 1.0) < 0.02
             else:
@@ -251,19 +255,18 @@ def test_lil_constant():
 
 
 def test_subadditivity_examples():
+    # unit steps, V_1(n) = n and V_2(n) = C(n, 2): at level 2 the slack is
+    # x + 3h/2 + h^2/2 (25 at x = h = 5: right 60, left 35), least at x = h = 0
     table = renewal_table(UNIT, 2, 20)
-    holds, slack = check_subadditivity(table, 5, 5, 2)
-    assert holds
-    assert slack == pytest.approx(25.0)  # right 60, left 35
-    holds, _ = check_subadditivity(table, 0, 7, 2)
-    assert holds
-    with pytest.raises(ValueError, match="off the table grid"):
-        check_subadditivity(table, 15, 10, 2)
+    assert subadditivity_sweep(table, 2) == (0, 0.0)
+    # 100 more at site 20: the pairs x + h = 20 keep h^2/2 + h/2 - 80, below zero for h = 1..12
+    table.values[1, 20] += 100.0
+    assert subadditivity_sweep(table, 2) == (12, -79.0)
 
 
-def _sweep_reference(table: RenewalTable, k_max: int, n_max: int | None = None) -> tuple[int, float]:
+def _sweep_reference(table: RenewalTable, k_max: int) -> tuple[int, float]:
     """The sweep as one power and one count per (k, h) row, for comparison."""
-    n = table.horizon if n_max is None else n_max
+    n = table.horizon
     violations = 0
     min_slack = math.inf
     v1 = table.level(1)
@@ -289,7 +292,8 @@ def test_subadditivity_sweep_matches_reference():
     violations, min_slack = subadditivity_sweep(broken, 2)
     assert violations > 0 and min_slack < 0.0
     assert (violations, min_slack) == _sweep_reference(broken, 2)
-    assert subadditivity_sweep(broken, 2, 3) == _sweep_reference(broken, 2, 3)
+    head = RenewalTable(1.0, broken.values[:, :4], 1.0)
+    assert subadditivity_sweep(head, 2) == _sweep_reference(head, 2)
     for law in (GEOM, LatticeLaw(1.0, np.array([0.5, 0.5])), RATIONAL_LAWS[1]):
         table = renewal_table(law, 5, 400)
         for k_max in (3, 5):

@@ -14,7 +14,6 @@ from iterlog.renewal import leading_term
 from iterlog.verify import check_rrt
 from iterlog.rrt import (
     _levels,
-    bernoulli_level1,
     bernoulli_level1_sample,
     enumerate_profiles,
     grow_discrete,
@@ -120,7 +119,7 @@ def test_every_grower_needs_a_level():
 def test_single_attachment_forced():
     trace = grow_discrete(1, 1, RngStream(0, 0))
     assert trace.counts(1)[0] == 1
-    assert bernoulli_level1(1, RngStream(0, 1)) == 1
+    assert np.all(bernoulli_level1_sample(1, RngStream(0, 1), 5) == 1)
 
 
 def test_conservation_both_growers():
@@ -146,7 +145,8 @@ def test_profile_zero_stays_zero():
 
 def test_history_is_cumulative():
     trace = grow_discrete(50, 4, RngStream(23, 0))
-    hist = trace.history(1)
+    hist = np.array([trace.counts_at(m, 1)[0] for m in range(51)])
+    assert np.array_equal(hist, np.cumsum(trace.levels == 1))
     assert hist[0] == 0
     assert np.all(np.diff(hist) >= 0)
     assert hist[-1] == trace.counts(1)[0]
@@ -196,10 +196,9 @@ def test_yule_epochs():
     trace = grow_yule(500, 3, RngStream(37, 0))
     assert trace.epochs.size == 500
     assert np.all(np.diff(trace.epochs) > 0)
-    clock = trace.yule_clock()
-    assert clock.population(0.0) == 1
-    assert clock.population(float(trace.epochs[-1])) == 501
-    assert clock.scaled_population() > 0
+    # the tree holds one vertex at time 0 and all 501 from tau_n on
+    assert np.searchsorted(trace.epochs, 0.0, side="right") == 0 < trace.epochs[0]
+    assert 1 + np.searchsorted(trace.epochs, trace.epochs[-1], side="right") == 501
 
 
 def test_first_epoch_is_unit_exponential():
@@ -212,7 +211,7 @@ def test_first_epoch_is_unit_exponential():
 
 def test_yule_limit_report():
     # e^{-tau_n} n stabilizes to a positive random value; descriptive only
-    values = [grow_yule(2000, 1, RngStream(43, r)).yule_clock().scaled_population() for r in range(20)]
+    values = [2000 * math.exp(-grow_yule(2000, 1, RngStream(43, r)).epochs[-1]) for r in range(20)]
     assert np.all(np.isfinite(values))
     assert np.all(np.array(values) > 0)
 
