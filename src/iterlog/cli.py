@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import cmj, gauss, renewal, rrt
-from .dist import LatticeLaw, RngStream, parse_law
+from .dist import LatticeLaw, RngStream, parse_kv, parse_law
 from .plot import Series, emit_plot
 
 _G17 = "{:.17g}".format
@@ -99,24 +99,29 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+#: Keys of each grid kind with their defaults; a linear grid needs its start and stop.
+_GRID_KEYS = {"geometric": {"start": math.e**2, "base": 1.5, "count": 10.0},
+              "linear": {"start": None, "stop": None, "count": 10.0}}
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     kind, _, body = spec.partition(":")
-    kv = {}
-    for item in body.split(","):
-        if item:
-            key, _, val = item.partition("=")
-            kv[key.strip()] = float(val)
+    if kind not in _GRID_KEYS:
+        raise ValueError(f"unknown grid kind {kind!r}")
+    given = parse_kv(body)
+    unknown = given.keys() - _GRID_KEYS[kind].keys()
+    if unknown:
+        raise ValueError(f"{kind} grid takes {', '.join(_GRID_KEYS[kind])}, not {', '.join(sorted(unknown))}")
+    kv = _GRID_KEYS[kind] | {key: float(val) for key, val in given.items()}
+    for key, val in kv.items():
+        if val is None:
+            raise ValueError(f"{kind} grid needs {key}=")
+    count = kv["count"]
+    if count < 1 or not count.is_integer():
+        raise ValueError(f"grid count must be a whole number >= 1, got {count:g}")
     if kind == "geometric":
-        start = kv.get("start", math.e**2)
-        base = kv.get("base", 1.5)
-        count = int(kv.get("count", 10))
-        return start * base ** np.arange(count)
-    if kind == "linear":
-        for key in ("start", "stop"):
-            if key not in kv:
-                raise ValueError(f"linear grid needs {key}=")
-        return np.linspace(kv["start"], kv["stop"], int(kv.get("count", 10)))
-    raise ValueError(f"unknown grid kind {kind!r}")
+        return kv["start"] * kv["base"] ** np.arange(int(count))
+    return np.linspace(kv["start"], kv["stop"], int(count))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -148,7 +153,7 @@ def _cmd_renewal(cfg: ExperimentConfig) -> int:
     eta = parse_law(cfg.eta) if cfg.eta else None
     # json prints only constants, which do not depend on N; a one-site table refuses the same input
     n = min(cfg.n, 0) if cfg.fmt == "json" else cfg.n
-    renewal._check_guard(cfg.levels, cfg.n)
+    renewal.check_guard(cfg.levels, cfg.n)
     if eta:
         chain = renewal.perturbed_table(renewal.renewal_sequence(law, n), law.span, eta, n, law.moments().mean)
         table = renewal.convolve_levels(chain, cfg.levels)
@@ -252,17 +257,16 @@ def _cmd_gauss(cfg: ExperimentConfig) -> int:
         raise ValueError("the weighted integrals need k >= 2")
     if cfg.fmt == "json" and cfg.replicas < 2:
         raise ValueError("ensemble needs at least two replicas")
+    levels = renewal.ExponentialRenewal()
     if cfg.law:
         law = parse_law(cfg.law)
         if isinstance(law, LatticeLaw):
-            table = renewal.renewal_table(law, max(1, k - 1), int(math.ceil(t / law.span)))
-            fk = gauss.FkTable.from_renewal(table, k)
+            levels = renewal.renewal_table(law, max(1, k - 1), int(math.ceil(t / law.span)))
         elif law.family == "exp":
-            fk = gauss.FkTable.exponential(k, law.params["rate"])
+            levels = renewal.ExponentialRenewal(law.params["rate"])
         else:
             raise ValueError("remainder weight needs a lattice or exponential law")
-    else:
-        fk = gauss.FkTable.exponential(k)
+    fk = gauss.FkTable(k, levels)
     b1 = gauss.b1k_ensemble(k, t, h, cfg.replicas, RngStream(cfg.seed, 0))
     b2 = gauss.b2k_ensemble(fk, t, h, cfg.replicas, RngStream(cfg.seed, 1))
     if cfg.fmt == "json":
@@ -273,7 +277,7 @@ def _cmd_gauss(cfg: ExperimentConfig) -> int:
             "b1_variance": float(b1.var(ddof=1)),
             "b1_variance_target": t ** (2 * k - 1) / (2 * k - 1),
             "b2_variance": float(b2.var(ddof=1)),
-            "b2_variance_target": gauss.variance_b2k(fk, t) if fk.kind == "lattice" else 0.0,
+            "b2_variance_target": gauss.variance_b2k(fk, t),
         }
         _emit(_json(out), cfg.out)
         return 0

@@ -5,9 +5,9 @@ an independent copy of the walk, or at s + S_{n-1} + eta_n for a perturbed
 walk; Y_k(t) counts generation-k births in [0, t].  One kernel draws every
 generation: generation 1 is the offspring of a root at time 0, and only
 births inside [0, t] are materialized.  An ensemble simulates a block of
-replicas per kernel call, every birth labelled with its replica; block b
-draws from substream b of one stream, and ``dist.map_blocks`` dispatches
-the blocks, so ensembles are reproducible under any parallel schedule.
+replicas per kernel call, every birth labelled with its replica;
+``dist.map_blocks`` runs block b on substream b of one stream, so
+ensembles are reproducible under any parallel schedule.
 ``monte_carlo`` centers its CLT and iterated-logarithm statistics at the
 leading term t^k / (k! mu^k) of the level-k expectation.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -147,16 +148,20 @@ def _block_size(config: SimConfig) -> int:
     return min(MAX_BLOCK, max(1, int(BLOCK_DRAWS / births)))
 
 
-def _eta_sites(law: Law, eta: Law | None) -> int | None:
-    """Span of eta in sites of a lattice walk (0 without eta), or None when the
-    walk is not a lattice law or eta does not fall on whole sites."""
+def _site_units(law: Law, eta: Law | None) -> tuple[int, int] | None:
+    """(q, p) when a lattice walk of span d runs in sites of d/q: its steps
+    take q sites and eta's span p sites (p = 0 without eta).  None when the
+    walk is not a lattice law, or eta is not a lattice law whose span over d
+    is a fraction p/q within a relative 1e-9."""
     if not isinstance(law, LatticeLaw):
         return None
     if eta is None:
-        return 0
-    ratio = eta.span / law.span if isinstance(eta, LatticeLaw) else 0.0
-    sites = round(ratio)
-    return sites if sites >= 1 and abs(ratio - sites) <= 1e-9 * ratio else None
+        return 1, 0
+    if not isinstance(eta, LatticeLaw):
+        return None
+    ratio = eta.span / law.span
+    sites = Fraction(ratio).limit_denominator()
+    return (sites.denominator, sites.numerator) if abs(ratio - sites) <= 1e-9 * ratio else None
 
 
 def _simulate_block(
@@ -169,19 +174,19 @@ def _simulate_block(
     time order for a standard walk) when it retains them.  Every birth carries the index of its replica, so one
     bincount per generation yields the counts of the whole block.
 
-    A lattice walk of span d (with no eta, or a lattice eta whose span is a
-    whole number of sites) runs in site units, where a birth is an integer,
-    exact in float64, so none on a site rounds past the horizon or a grid
-    point; those become the sites they fall on.  Any other walk runs in
-    float time.
+    A lattice walk of span d (with no eta, or a lattice eta of span p d / q)
+    runs in sites of d / q, where a birth is an integer, exact in float64, so
+    none on a site rounds past the horizon or a grid point; those become the
+    sites they fall on.  Any other walk runs in float time.
     """
     t, law, eta, grid = config.horizon, config.law, config.eta, config.grid
     d = 1.0
-    sites = _eta_sites(law, eta)
-    if sites is not None:
-        d = law.span
-        law = LatticeLaw(1.0, law.pmf)
-        eta = None if eta is None else LatticeLaw(float(sites), eta.pmf)
+    units = _site_units(law, eta)
+    if units is not None:
+        q, p = units
+        d = law.span / q
+        law = LatticeLaw(float(q), law.pmf)
+        eta = None if eta is None else LatticeLaw(float(p), eta.pmf)
         t = float(lattice_site(t / d))
         grid = None if grid is None else lattice_site(grid / d)
     m = law.moments()
@@ -316,30 +321,34 @@ class MonteCarloSummary:
         return d
 
 
-def _block(config: SimConfig, b: int, replicas: range):
-    """Block b of an ensemble, simulated on substream b of (seed, stream_offset)."""
-    rng = RngStream(config.seed, config.stream_offset, substream=b).generator()
-    return _simulate_block(config, len(replicas), rng)
+def _ensemble(fn, config: SimConfig, *extra, workers: int | None = None) -> np.ndarray:
+    """Rows of ``fn(rng, rows, config, *extra)`` for the config's replicas, in
+    blocks of ``_block_size(config)``; block b draws from substream b of stream
+    (seed, stream_offset), so the rows never depend on the worker count."""
+    stream = RngStream(config.seed, config.stream_offset)
+    return map_blocks(fn, stream, config.replicas, _block_size(config), config, *extra, workers=workers)
 
 
-def _count_rows(b: int, replicas: range, config: SimConfig) -> np.ndarray:
-    return _block(config, b, replicas)[0]
+def _count_rows(rng: np.random.Generator, rows: int, config: SimConfig) -> np.ndarray:
+    return _simulate_block(config, rows, rng)[0]
 
 
-def _path_rows(b: int, replicas: range, config: SimConfig) -> np.ndarray:
-    return _block(config, b, replicas)[1]
+def _path_rows(rng: np.random.Generator, rows: int, config: SimConfig) -> np.ndarray:
+    return _simulate_block(config, rows, rng)[1]
+
+
+def path_ensemble(config: SimConfig) -> np.ndarray:
+    """Grid paths (R, K, grid size) of the config's replicas, in the blocks and
+    on the substreams of ``monte_carlo``."""
+    return _ensemble(_path_rows, config)
 
 
 def monte_carlo(config: SimConfig, workers: int | None = None) -> MonteCarloSummary:
-    """Run the ensemble and reduce it; a pure function of (config, seed).
-
-    Replicas run in blocks of ``_block_size(config)``; block b always owns
-    substream b of stream (seed, stream_offset), so the summary is
-    identical under any worker count or scheduling order.
-    """
+    """Run the ensemble and reduce it; a pure function of (config, seed),
+    whatever the worker count."""
     if config.replicas < 2:
         raise ValueError("ensemble needs at least two replicas")
-    counts = map_blocks(_count_rows, config.replicas, _block_size(config), workers, config)
+    counts = _ensemble(_count_rows, config, workers=workers)
     m = config.law.moments()
     t = config.horizon
     ks = range(1, config.levels + 1)
@@ -355,8 +364,8 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> MonteCarloSumm
     return MonteCarloSummary(config, counts, means, variances, clt, lil, centers)
 
 
-def _decomposition_rows(b: int, replicas: range, config: SimConfig, k: int, v_eval) -> np.ndarray:
-    counts, _, gen1 = _block(config, b, replicas)
+def _decomposition_rows(rng: np.random.Generator, rows: int, config: SimConfig, k: int, v_eval) -> np.ndarray:
+    counts, _, gen1 = _simulate_block(config, rows, rng)
     t = config.horizon
     parts = (
         decompose_fluctuation(times, float(yk), k, t, v_eval)
@@ -366,19 +375,12 @@ def _decomposition_rows(b: int, replicas: range, config: SimConfig, k: int, v_ev
 
 
 def decomposition_ensemble(
-    config: SimConfig,
-    k: int,
-    v_eval: "RenewalTable | ExponentialRenewal",
-    workers: int | None = None,
+    config: SimConfig, k: int, v_eval: "RenewalTable | ExponentialRenewal"
 ) -> np.ndarray:
-    """Per-replica (I_k, J_k, Y_k - V_k) rows, replicas in index order.
-
-    Blocks and substreams are those of ``monte_carlo``.
-    """
+    """Per-replica (I_k, J_k, Y_k - V_k) rows, replicas in index order, in the
+    blocks and on the substreams of ``monte_carlo``."""
     if not config.retain_gen1:
         config = replace(config, retain_gen1=True)
     if k < 2 or k > config.levels:
         raise ValueError("decomposition level must satisfy 2 <= k <= K")
-    return map_blocks(
-        _decomposition_rows, config.replicas, _block_size(config), workers, config, k, v_eval
-    )
+    return _ensemble(_decomposition_rows, config, k, v_eval)

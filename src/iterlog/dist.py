@@ -240,22 +240,27 @@ def resolve_workers(workers: int | None = None) -> int:
     return max(1, workers)
 
 
-def _run_blocks(fn, total: int, block: int, extra: tuple, blocks: range) -> np.ndarray:
-    rows = range(total)
-    return np.concatenate([fn(b, rows[b * block : (b + 1) * block], *extra) for b in blocks])
+def _run_blocks(fn, seed: int, index: int, total: int, block: int, extra: tuple, blocks: range):
+    return np.concatenate([
+        fn(RngStream(seed, index, b).generator(), min(block, total - b * block), *extra) for b in blocks
+    ])
 
 
-def map_blocks(fn, total: int, block: int, workers: int | None, *extra) -> np.ndarray:
+def map_blocks(
+    fn, stream: RngStream, total: int, block: int, *extra, workers: int | None = None
+) -> np.ndarray:
     """Rows of ``total`` replicas in replica order, computed a block at a time.
 
-    ``fn(b, rows, *extra)``, a module-level function, stacks the rows of
-    block b, the replicas ``rows = range(total)[b * block : (b + 1) * block]``.
-    A block owns its randomness (a stream per replica, or substream b of
-    one stream), so the result never depends on the worker count.
+    ``fn(rng, rows, *extra)``, a module-level function, stacks the rows of
+    block b: ``rows`` replicas (``block``, fewer in the last block) drawn
+    from ``rng``, the generator of substream b of (stream.seed,
+    stream.index).  Block b owns substream b, so the result never depends
+    on the worker count, ``resolve_workers(workers)``: ``workers`` or the
+    cpu count, capped by ITERLOG_THREADS.
     """
     if total < 1:
         raise ValueError("need at least one replica")
-    run = partial(_run_blocks, fn, total, block, extra)
+    run = partial(_run_blocks, fn, stream.seed, stream.index, total, block, extra)
     blocks = range(-(-total // block))
     workers = resolve_workers(workers)
     if workers <= 1 or total < 64 or len(blocks) < 2:
@@ -281,29 +286,31 @@ def parse_law(spec: str) -> Law:
     try:
         if family == "lattice":
             head, _, tail = body.partition(";")
-            d = float(_kv(head)["d"])
+            d = float(parse_kv(head)["d"])
             tail = tail.strip()
             if not tail.startswith("p="):
                 raise ValueError("lattice law needs ';p=...' pmf list")
             pmf = np.array([float(x) for x in tail[2:].split(",")], dtype=np.float64)
             return LatticeLaw(d, pmf)
         if family == "geom":
-            kv = _kv(body)
+            kv = parse_kv(body)
             return geometric_lattice(float(kv["p"]), float(kv.get("d", 1.0)))
         if family == "exp":
-            return SmoothLaw("exp", {"rate": float(_kv(body)["rate"])})
+            return SmoothLaw("exp", {"rate": float(parse_kv(body)["rate"])})
         if family == "gamma":
-            kv = _kv(body)
+            kv = parse_kv(body)
             return SmoothLaw("gamma", {"shape": float(kv["shape"]), "rate": float(kv["rate"])})
         if family == "unif":
-            kv = _kv(body)
+            kv = parse_kv(body)
             return SmoothLaw("unif", {"lo": float(kv["lo"]), "hi": float(kv["hi"])})
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad law spec {spec!r}: {exc}") from exc
     raise ValueError(f"bad law spec {spec!r}: unknown family {family!r}")
 
 
-def _kv(text: str) -> dict:
+def parse_kv(text: str) -> dict:
+    """``key=value`` items of a comma list, stripped; an item without ``=`` or a
+    repeated key is refused."""
     out = {}
     for item in text.split(","):
         item = item.strip()

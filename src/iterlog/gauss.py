@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import RngStream, map_blocks, row_chunks
-from .renewal import RenewalTable, lattice_site
+from .renewal import ExponentialRenewal, RenewalTable, lattice_site, leading_term
 
 #: Replicas per block of the Gaussian ensembles; the block fixes the draws.
 BLOCK_ROWS = 128
@@ -57,59 +57,30 @@ def _weights(weight, t: float, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FkTable:
-    """Evaluator for f_k(t) = V_{k-1}(t) - t^{k-1}/((k-1)! mu^{k-1}).
-
-    Lattice kind wraps an exact renewal table (step-constant V_{k-1});
-    exponential kind is identically zero because the level expectations
-    are exactly polynomial there.
+    """Evaluator for f_k(t) = V_{k-1}(t) - t^{k-1}/((k-1)! mu^{k-1}), read from
+    the level expectations: an exact lattice table, where V_{k-1} steps, or the
+    exponential closed form, where V_{k-1} is its leading term and f_k is +0.0.
     """
 
     k: int
-    mu: float
-    kind: str
-    span: float = 0.0
-    values: np.ndarray | None = None  # V_{k-1}(nd) grid when kind == "lattice"
+    levels: RenewalTable | ExponentialRenewal
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("f_k needs k >= 2")
-        if self.kind not in ("lattice", "exponential"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "lattice" and (self.values is None or self.span <= 0):
-            raise ValueError("lattice table needs a span and grid values")
 
-    @classmethod
-    def from_renewal(cls, table: RenewalTable, k: int) -> "FkTable":
-        return cls(k, table.mu, "lattice", table.span, table.level(k - 1))
-
-    @classmethod
-    def exponential(cls, k: int, rate: float = 1.0) -> "FkTable":
-        return cls(k, 1.0 / rate, "exponential")
-
-    @property
-    def horizon(self) -> float:
-        if self.kind == "lattice":
-            return (self.values.size - 1) * self.span
-        return math.inf
-
-    def evaluate(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=np.float64)
-        if self.kind == "exponential":
-            return np.zeros_like(s)
-        idx = lattice_site(s / self.span).astype(np.int64)
-        if np.any(idx < 0) or np.any(idx >= self.values.size):
-            raise ValueError("argument outside table horizon")
-        c = math.factorial(self.k - 1) * self.mu ** (self.k - 1)
-        return self.values[idx] - s ** (self.k - 1) / c
+    def evaluate(self, s):
+        return self.levels.at(self.k - 1, s) - leading_term(self.k - 1, self.levels.mu, s)
 
 
 def _check_grid(fk: FkTable, h: float, t: float) -> None:
     """A lattice weight must step on the path grid and cover [0, t]."""
-    if fk.kind == "lattice":
-        ratio = fk.span / h
+    table = fk.levels
+    if isinstance(table, RenewalTable):
+        ratio = table.span / h
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("grid mismatch: lattice span not a multiple of the path step")
-        if fk.horizon + 1e-9 < t:
+        if table.horizon * table.span + 1e-9 < t:
             raise ValueError("grid mismatch: table does not cover [0, t]")
 
 
@@ -132,54 +103,48 @@ def variance_b2k(fk: FkTable, n: float) -> float:
     """
     if n < 0:
         raise ValueError("upper limit must be nonnegative")
-    if fk.kind == "exponential":
+    table = fk.levels
+    if isinstance(table, ExponentialRenewal):
         return 0.0
-    d = fk.span
+    d = table.span
     cells = int(round(n / d))
     if abs(cells * d - n) > 1e-9 * max(1.0, n):
         raise ValueError("upper limit must sit on the lattice grid")
-    if cells > fk.values.size - 1:
+    if cells > table.horizon:
         raise ValueError("table does not cover [0, n]")
     k = fk.k
-    c = math.factorial(k - 1) * fk.mu ** (k - 1)
+    c = math.factorial(k - 1) * table.mu ** (k - 1)
     m = np.arange(cells, dtype=np.float64)
     lo = m * d
     hi = lo + d
-    v = fk.values[:cells]
+    v = table.level(k - 1)[:cells]
     a = (hi**k - lo**k) / k
     b = (hi ** (2 * k - 1) - lo ** (2 * k - 1)) / (2 * k - 1)
     cell = v * v * d - 2.0 * v * a / c + b / (c * c)
     return math.fsum(cell.tolist())
 
 
-def b1k_ensemble(
-    k: int, t: float, h: float, replicas: int, stream: RngStream, workers: int | None = None
-) -> np.ndarray:
+def b1k_ensemble(k: int, t: float, h: float, replicas: int, stream: RngStream) -> np.ndarray:
     """Independent values of sum_j (t - x_j)^{k-1} dW_j over the grid cells
-    below t; see ``_weighted_sums`` for the streams."""
+    below t, in blocks of BLOCK_ROWS on the substreams of ``stream``."""
     _check_step(t, h)
-    args = (_weights(lambda lag: lag ** (k - 1), t, h), h, stream.seed, stream.index)
-    return map_blocks(_weighted_sums, replicas, BLOCK_ROWS, workers, *args)
+    weights = _weights(lambda lag: lag ** (k - 1), t, h)
+    return map_blocks(_weighted_sums, stream, replicas, BLOCK_ROWS, weights, h)
 
 
-def b2k_ensemble(
-    fk: FkTable, t: float, h: float, replicas: int, stream: RngStream, workers: int | None = None
-) -> np.ndarray:
-    """Independent ``b2k`` values; see ``_weighted_sums`` for the streams."""
+def b2k_ensemble(fk: FkTable, t: float, h: float, replicas: int, stream: RngStream) -> np.ndarray:
+    """Independent ``b2k`` values, in blocks of BLOCK_ROWS on the substreams of ``stream``."""
     _check_step(t, h)
     _check_grid(fk, h, t)
-    args = (_weights(fk.evaluate, t, h), h, stream.seed, stream.index)
-    return map_blocks(_weighted_sums, replicas, BLOCK_ROWS, workers, *args)
+    return map_blocks(_weighted_sums, stream, replicas, BLOCK_ROWS, _weights(fk.evaluate, t, h), h)
 
 
-def _weighted_sums(b: int, rows: range, weights, h: float, seed: int, index: int) -> np.ndarray:
-    """sum_j weights_j dW_j for each replica of block b, drawn on substream b
-    of (seed, index): block 0 repeats the stream's first draws.  The rows are
-    drawn ``row_chunks(len(rows), weights.size)`` at a time from that one
-    generator, which draws what one (len(rows), weights.size) array draws."""
-    rng = RngStream(seed, index, b).generator()
+def _weighted_sums(rng: np.random.Generator, rows: int, weights: np.ndarray, h: float) -> np.ndarray:
+    """sum_j weights_j dW_j for each of ``rows`` replicas, drawn
+    ``row_chunks(rows, weights.size)`` at a time from ``rng``, which draws what
+    one (rows, weights.size) array draws."""
     # per-row reduction instead of BLAS keeps results thread-count independent
     return np.concatenate([
         (rng.normal(0.0, math.sqrt(h), (r, weights.size)) * weights).sum(axis=1)
-        for r in row_chunks(len(rows), weights.size)
+        for r in row_chunks(rows, weights.size)
     ])

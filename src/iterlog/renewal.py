@@ -44,12 +44,13 @@ class RenewalTable:
             raise ValueError(f"level {k} not in table (K={self.levels})")
         return self.values[k - 1]
 
-    def at(self, k: int, t: float) -> float:
-        """V_k(t) for t in [0, horizon*d]; t within a relative 1e-9 of a site is on it."""
-        n = int(lattice_site(t / self.span))
-        if n < 0 or n > self.horizon:
+    def at(self, k: int, t):
+        """V_k(t) for t in [0, horizon*d], a float or an array; a t within a
+        relative 1e-9 below a site is on it."""
+        sites = lattice_site(np.divide(t, self.span))
+        if np.any(sites < 0) or np.any(sites > self.horizon):
             raise ValueError(f"t={t} outside table horizon")
-        return float(self.level(k)[n])
+        return self.level(k)[sites.astype(np.int64)]
 
 
 def lattice_site(x):
@@ -59,7 +60,8 @@ def lattice_site(x):
     return (x + 1e-9 * (1.0 + abs(x))) // 1
 
 
-def _check_guard(levels: int, n: int) -> None:
+def check_guard(levels: int, n: int) -> None:
+    """Refuse a negative horizon or a table of more than MAX_TABLE_ENTRIES entries."""
     if n < 0:
         raise ValueError("horizon must be nonnegative")
     if levels * (n + 1) > MAX_TABLE_ENTRIES:
@@ -86,7 +88,7 @@ def renewal_sequence(law: LatticeLaw, n_max: int) -> np.ndarray:
     """The sequence u_n = P{some walk point hits site nd}, n = 0..n_max: u_0 = 1 and
     u_n = sum_{m} p_m u_{n-m}, the impulse response of 1/(1 - P) = 1 + P/(1 - P).
     Partial sums of u give U(nd), and U - 1 = V."""
-    _check_guard(1, n_max)
+    check_guard(1, n_max)
     u = _recurrence_levels(law, np.eye(1, n_max + 1)[0], 1)[0]
     u[0] = 1.0
     return u
@@ -124,7 +126,7 @@ def renewal_table(law: LatticeLaw, levels: int, n_max: int) -> RenewalTable:
     """Exact table of V_1..V_K on the lattice grid: V_k (1 - P) = P V_{k-1}, V_0 = 1/(1 - z)."""
     if levels < 1:
         raise ValueError("need at least one level")
-    _check_guard(levels, n_max)
+    check_guard(levels, n_max)
     values = _recurrence_levels(law, np.ones(n_max + 1, dtype=np.float64), levels)
     return RenewalTable(law.span, values, law.moments().mean)
 
@@ -133,7 +135,7 @@ def convolve_levels(table: RenewalTable, levels: int) -> RenewalTable:
     """Extend a table to K = levels via V_k = V_{k-1} * dV (level-1 increments)."""
     if levels < 1:
         raise ValueError("need at least one level")
-    _check_guard(levels, table.horizon)
+    check_guard(levels, table.horizon)
     if levels <= table.levels:
         return table
     du = np.diff(table.values[0], prepend=0.0)
@@ -155,7 +157,7 @@ def perturbed_table(u: np.ndarray, span: float, eta: LatticeLaw, n_max: int, mu:
         raise ValueError("perturbation law must be lattice")
     if abs(eta.span - span) > 1e-12 * max(span, eta.span):
         raise ValueError("incommensurable lattices: step and perturbation spans differ")
-    _check_guard(1, n_max)
+    check_guard(1, n_max)
     if n_max > u.size - 1:
         raise ValueError("renewal sequence shorter than requested horizon")
     big_u = _cumsum_exact(u[: n_max + 1])
@@ -170,8 +172,12 @@ class ExponentialRenewal:
 
     rate: float = 1.0
 
-    def at(self, k: int, t: float) -> float:
-        return leading_term(k, 1.0 / self.rate, t)
+    @property
+    def mu(self) -> float:
+        return 1.0 / self.rate
+
+    def at(self, k: int, t):
+        return leading_term(k, self.mu, t)
 
 
 @dataclass(frozen=True)
@@ -257,9 +263,12 @@ class AsymptoticConstants:
         return out
 
 
-def leading_term(k: int, mu: float, t: float) -> float:
-    """First-order growth t^k / (k! mu^k) of the level-k expectation."""
-    if k < 1 or mu <= 0 or t < 0:
+def leading_term(k: int, mu: float, t):
+    """First-order growth t^k / (k! mu^k) of the level-k expectation; ``t`` may
+    be a float or an array."""
+    # np.any on a float costs microseconds, and the exponential levels read one float a birth
+    negative = np.any(t < 0) if isinstance(t, np.ndarray) else t < 0
+    if k < 1 or mu <= 0 or negative:
         raise ValueError("need k >= 1, mu > 0, t >= 0")
     return t**k / (math.factorial(k) * mu**k)
 

@@ -121,10 +121,14 @@ def sample_profiles(n: int, k_max: int, stream: RngStream, replicas: int) -> np.
     drawn as ``grow_discrete`` draws.  The trees grow ``row_chunks(replicas, n)``
     at a time from the stream's one generator, so the draws are those of one
     (replicas, n) block while memory stays flat in ``replicas``."""
+    return profile_rows(stream.generator(), replicas, n, k_max)
+
+
+def profile_rows(rng: np.random.Generator, rows: int, n: int, k_max: int) -> np.ndarray:
+    """``sample_profiles`` of ``rows`` trees drawn from the generator ``rng``."""
     _check_k_max(k_max)
-    _check_block(n, replicas)
-    rng = stream.generator()
-    return np.concatenate([_profiles(_grow(n, rng, r, False)[1], k_max) for r in row_chunks(replicas, n)])
+    _check_block(n, rows)
+    return np.concatenate([_profiles(_grow(n, rng, r, False)[1], k_max) for r in row_chunks(rows, n)])
 
 
 def _profiles(levels: np.ndarray, k_max: int) -> np.ndarray:

@@ -111,7 +111,7 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 
-def check_exact_convolution(seed: int, workers: int | None = None) -> list[CheckResult]:
+def check_exact_convolution(seed: int) -> list[CheckResult]:
     """Deterministic unit-step law: V_k(n) must equal C(n, k) exactly."""
     law = LatticeLaw(1.0, np.array([1.0]))
     table = renewal.renewal_table(law, 4, 60)
@@ -127,7 +127,7 @@ def check_exact_convolution(seed: int, workers: int | None = None) -> list[Check
     ]
 
 
-def check_elementary_ratio(seed: int, workers: int | None = None) -> list[CheckResult]:
+def check_elementary_ratio(seed: int) -> list[CheckResult]:
     """V_k(N) k! mu^k / N^k -> 1 at N = 4000 for the geometric law."""
     law = geometric_lattice(0.5)
     mu = law.moments().mean
@@ -145,7 +145,7 @@ def check_elementary_ratio(seed: int, workers: int | None = None) -> list[CheckR
     ]
 
 
-def check_lattice_second_order(seed: int, workers: int | None = None) -> list[CheckResult]:
+def check_lattice_second_order(seed: int) -> list[CheckResult]:
     """Perturbed-chain expansion constants for geometric steps with eta = xi."""
     law = geometric_lattice(0.5)
     m = law.moments()
@@ -183,7 +183,7 @@ def check_lattice_second_order(seed: int, workers: int | None = None) -> list[Ch
     ]
 
 
-def check_subadditivity_sweep(seed: int, workers: int | None = None) -> list[CheckResult]:
+def check_subadditivity_sweep(seed: int) -> list[CheckResult]:
     """Zero violations of the increment bound over the full (x, h) grid."""
     out = []
     for tag, law in (
@@ -205,7 +205,7 @@ def check_subadditivity_sweep(seed: int, workers: int | None = None) -> list[Che
     return out
 
 
-def check_renewal_clt(seed: int, workers: int | None = None) -> list[CheckResult]:
+def check_renewal_clt(seed: int) -> list[CheckResult]:
     """Sample law of a_k (Y_k - t^k/k!)/t^{k-1/2} for the unit exponential."""
     config = cmj.SimConfig(
         SmoothLaw("exp", {"rate": 1.0}),
@@ -215,7 +215,7 @@ def check_renewal_clt(seed: int, workers: int | None = None) -> list[CheckResult
         replicas=20_000,
         stream_offset=_offset("c5"),
     )
-    summary = cmj.monte_carlo(config, workers=workers)
+    summary = cmj.monte_carlo(config)
     out = []
     for k in range(1, 4):
         var = float(summary.clt[:, k - 1].var(ddof=1))
@@ -231,7 +231,7 @@ def check_renewal_clt(seed: int, workers: int | None = None) -> list[CheckResult
     return out
 
 
-def check_decomposition(seed: int, workers: int | None = None) -> list[CheckResult]:
+def check_decomposition(seed: int) -> list[CheckResult]:
     """I + J = Y - V per replica; median |I|/t^{3/2} decreasing in t."""
     v_eval = renewal.ExponentialRenewal(1.0)
     medians = []
@@ -246,7 +246,7 @@ def check_decomposition(seed: int, workers: int | None = None) -> list[CheckResu
             retain_gen1=True,
             stream_offset=_offset("c6", i),
         )
-        parts = cmj.decomposition_ensemble(config, 2, v_eval, workers=workers)
+        parts = cmj.decomposition_ensemble(config, 2, v_eval)
         identity = np.abs(parts[:, 0] + parts[:, 1] - parts[:, 2])
         worst_identity = max(worst_identity, float(identity.max()))
         medians.append(float(np.median(np.abs(parts[:, 0])) / t**1.5))
@@ -266,12 +266,12 @@ def check_decomposition(seed: int, workers: int | None = None) -> list[CheckResu
     ]
 
 
-def check_rrt(seed: int, workers: int | None = None) -> list[CheckResult]:
+def check_rrt(seed: int) -> list[CheckResult]:
     """Profile law vs enumeration, level-1 law vs Bernoulli sums, mean vs H_n."""
     out = []
     # (a) total variation of the Yule-grown profile law at n = 6
     exact = rrt.enumerate_profiles(6)
-    samples = map_blocks(_yule_profiles, 100_000, 1000, workers, 6, seed, _offset("c7a"))
+    samples = map_blocks(rrt.profile_rows, RngStream(seed, _offset("c7a")), 100_000, 1000, 6, 6)
     tv = rrt.total_variation(rrt.profile_pmf_from_samples(samples), exact)
     out.append(CheckResult("c7_profile_tv", tv < 0.02, tv, 0.0, 0.02, "mc vs enumeration"))
 
@@ -293,11 +293,6 @@ def check_rrt(seed: int, workers: int | None = None) -> list[CheckResult]:
         CheckResult("c7_level1_mean", dev <= 4.0, dev, 0.0, "4 standard errors", "mc")
     )
     return out
-
-
-def _yule_profiles(b: int, trees: range, n: int, seed: int, index: int) -> np.ndarray:
-    """Profiles of a block of Yule trees (shaped as uniform attachment) on substream b."""
-    return rrt.sample_profiles(n, n, RngStream(seed, index, b), len(trees))
 
 
 def _chi2_two_sample(x: np.ndarray, y: np.ndarray, min_pooled: int = 25) -> float:
@@ -324,12 +319,12 @@ def _chi2_two_sample(x: np.ndarray, y: np.ndarray, min_pooled: int = 25) -> floa
     return float(p)
 
 
-def check_gauss(seed: int, workers: int | None = None) -> list[CheckResult]:
+def check_gauss(seed: int) -> list[CheckResult]:
     """Variance identities for the weighted Brownian sums."""
     out = []
     # (a) Var B1 at k=2, t=10 is t^3/3
     stream = RngStream(seed, _offset("c8a"))
-    values = gauss.b1k_ensemble(2, 10.0, 0.01, 10_000, stream, workers=workers)
+    values = gauss.b1k_ensemble(2, 10.0, 0.01, 10_000, stream)
     var = float(values.var(ddof=1))
     target = 1000.0 / 3.0
     dev = abs(var / target - 1.0)
@@ -338,7 +333,7 @@ def check_gauss(seed: int, workers: int | None = None) -> list[CheckResult]:
     )
 
     # (b) exponential steps have zero remainder weight, so B2 vanishes
-    fk = gauss.FkTable.exponential(2)
+    fk = gauss.FkTable(2, renewal.ExponentialRenewal())
     path = gauss.sample_bm(10.0, 0.01, RngStream(seed, _offset("c8a", 1)))
     b2 = gauss.b2k(path, fk, 10.0)
     out.append(
@@ -348,10 +343,10 @@ def check_gauss(seed: int, workers: int | None = None) -> list[CheckResult]:
     # (c) geometric steps: ensemble variance vs the exact quadrature of f_2^2
     law = geometric_lattice(0.5)
     table = renewal.renewal_table(law, 1, 100)
-    fk2 = gauss.FkTable.from_renewal(table, 2)
+    fk2 = gauss.FkTable(2, table)
     target_var = gauss.variance_b2k(fk2, 100.0)
     stream = RngStream(seed, _offset("c8c"))
-    values = gauss.b2k_ensemble(fk2, 100.0, 0.005, 10_000, stream, workers=workers)
+    values = gauss.b2k_ensemble(fk2, 100.0, 0.005, 10_000, stream)
     var2 = float(values.var(ddof=1))
     dev2 = abs(var2 / target_var - 1.0)
     out.append(
@@ -362,14 +357,13 @@ def check_gauss(seed: int, workers: int | None = None) -> list[CheckResult]:
     return out
 
 
-def lil_extrema_series(seed: int, replicas: int = 100, workers: int | None = None):
+def lil_extrema_series(seed: int, replicas: int = 100):
     """Report-only: the normalized level-1 fluctuation along a geometric grid.
 
     The almost-sure limit band [-1, 1] is far beyond desk horizons (the
     iterated logarithm is ~2.2 even at t = 1e4), so this is descriptive.
-    The replicas' grid paths run as one ensemble, in the blocks and on the
-    substreams of ``cmj.monte_carlo``, so the series is the same under any
-    worker count.
+    The replicas' grid paths run as one ``cmj.path_ensemble``, so the series
+    is the same under any worker count.
     """
     grid = math.e**2 * 1.5 ** np.arange(26)
     t_max = float(grid[-1])
@@ -384,7 +378,7 @@ def lil_extrema_series(seed: int, replicas: int = 100, workers: int | None = Non
         stream_offset=_offset("r_lil"),
     )
     m = config.law.moments()
-    paths = map_blocks(cmj._path_rows, replicas, cmj._block_size(config), workers, config)[:, 0]
+    paths = cmj.path_ensemble(config)[:, 0]
     stats = np.column_stack(
         [
             cmj.lil_statistic(paths[:, j], 1, t, m, renewal.leading_term(1, m.mean, t))
@@ -394,8 +388,8 @@ def lil_extrema_series(seed: int, replicas: int = 100, workers: int | None = Non
     return grid, stats
 
 
-def check_lil_extrema(seed: int, workers: int | None = None) -> list[CheckResult]:
-    grid, stats = lil_extrema_series(seed, workers=workers)
+def check_lil_extrema(seed: int) -> list[CheckResult]:
+    grid, stats = lil_extrema_series(seed)
     running_max = float(np.max(stats))
     running_min = float(np.min(stats))
     finite = bool(np.all(np.isfinite(stats)))
@@ -412,7 +406,7 @@ def check_lil_extrema(seed: int, workers: int | None = None) -> list[CheckResult
     ]
 
 
-def check_rrt_lil(seed: int, workers: int | None = None) -> list[CheckResult]:
+def check_rrt_lil(seed: int) -> list[CheckResult]:
     n, reps, k = 10_000, 100, 2
     xs = rrt.sample_profiles(n, k, RngStream(seed, _offset("r_rrt")), reps)[:, k - 1]
     values = rrt.rrt_lil_statistic(xs, n, k)
@@ -445,14 +439,14 @@ CHECKS = {
 }
 
 
-def run_check(name: str, seed: int, workers: int | None = None) -> list[CheckResult]:
+def run_check(name: str, seed: int) -> list[CheckResult]:
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; available: {sorted(CHECKS)}")
     builder, _, _ = CHECKS[name]
-    return builder(seed, workers)
+    return builder(seed)
 
 
-def run_suite(suite: str, seed: int, workers: int | None = None) -> VerificationReport:
+def run_suite(suite: str, seed: int) -> VerificationReport:
     """Run the fast (exact + light MC) or full (everything) suite."""
     if suite not in ("fast", "full"):
         raise ValueError("suite must be 'fast' or 'full'")
@@ -460,5 +454,5 @@ def run_suite(suite: str, seed: int, workers: int | None = None) -> Verification
     for name, (builder, _, in_fast) in CHECKS.items():
         if suite == "fast" and not in_fast:
             continue
-        report.checks.extend(builder(seed, workers))
+        report.checks.extend(builder(seed))
     return report

@@ -23,9 +23,9 @@ from iterlog.renewal import convolve_levels, perturbed_table, renewal_sequence
 SEED = 7
 
 
-def _run(name: str, criterion: str, workers=None):
+def _run(name: str, criterion: str):
     start = time.perf_counter()
-    results = verify.run_check(name, SEED, workers=workers)
+    results = verify.run_check(name, SEED)
     elapsed = time.perf_counter() - start
     budget = verify.CHECKS[name][1]
     ok = all(r.passed for r in results if r.gated)
@@ -146,7 +146,7 @@ def test_criterion_10_limit_claims_are_report_only(tmp_path):
 
 def test_acceptance_gate_composition():
     # the gated fast+c5 set is exactly the executable criteria 1-8
-    report = verify.run_suite("full", SEED, workers=None)
+    report = verify.run_suite("full", SEED)
     gated = {c.name for c in report.checks if c.gated}
     assert gated == {
         "c1_exact_convolution",

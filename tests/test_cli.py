@@ -99,6 +99,36 @@ def test_linear_grid_needs_start_and_stop(capsys):
     assert "stop=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("linear:start=1,stop=5,cnt=3", "not cnt"),
+        ("geometric:start=1,stop=5", "not stop"),
+        ("linear:start=1,stop=5,base=2", "not base"),
+        ("linear:start=1,stop=5,count=2.5", "whole number"),
+        ("geometric:count=0", "whole number"),
+        ("geometric:count=inf", "whole number"),
+        ("linear:start=1,stop=5,count=3,count=4", "duplicate key 'count'"),
+        ("linear:start=1,stop=5,count", "key=value"),
+        ("spiral:count=3", "unknown grid kind"),
+    ],
+)
+def test_grid_spec_checked_as_laws_are(grid, message, capsys):
+    args = ["simulate", "--law", "exp:rate=1", "--K", "1", "--t", "60", "--grid", grid]
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_grid_spec_spacing_and_defaults_unchanged(capsys):
+    args = ["simulate", "--law", "exp:rate=1", "--K", "1", "--t", "300", "--seed", "3", "--grid"]
+    assert run(args + ["linear: start=1 , stop=5, count=3.0"]) == 0
+    assert [line.split(",")[0] for line in _capture(capsys).splitlines()] == ["t", "1", "3", "5"]
+    assert run(args + ["geometric"]) == 0
+    ts = [float(line.split(",")[0]) for line in _capture(capsys).splitlines()[1:]]
+    assert ts == (math.e**2 * 1.5 ** np.arange(10)).tolist()
+
+
 def test_simulate_path_svg(tmp_path):
     path = tmp_path / "path.svg"
     code = run(["simulate", "--law", "exp:rate=1", "--K", "2", "--t", "20",
@@ -245,7 +275,7 @@ def test_verify_single_check_deterministic(capsys):
 
 
 def test_verify_gated_failure_exit_code(monkeypatch, capsys):
-    def failing(seed, workers=None):
+    def failing(seed):
         return [verify.CheckResult("forced", False, 1.0, 0.0, 0.0, "test")]
 
     monkeypatch.setitem(verify.CHECKS, "forced", (failing, 1.0, False))
@@ -253,15 +283,17 @@ def test_verify_gated_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in _capture(capsys)
 
 
-def test_lil_extrema_series_independent_of_worker_count():
+def test_lil_extrema_series_independent_of_worker_count(monkeypatch):
     # 64 replicas, the fewest that map_blocks hands to a pool
-    serial = verify.lil_extrema_series(7, replicas=64, workers=1)
-    pooled = verify.lil_extrema_series(7, replicas=64, workers=2)
+    monkeypatch.setenv("ITERLOG_THREADS", "1")
+    serial = verify.lil_extrema_series(7, replicas=64)
+    monkeypatch.setenv("ITERLOG_THREADS", "2")
+    pooled = verify.lil_extrema_series(7, replicas=64)
     assert serial[1].shape == (64, 26)
     assert serial[0].tobytes() == pooled[0].tobytes()
     assert serial[1].tobytes() == pooled[1].tobytes()
     # the first 20 replicas are the blocks of a 20-replica ensemble
-    few = verify.lil_extrema_series(7, replicas=20, workers=2)
+    few = verify.lil_extrema_series(7, replicas=20)
     assert few[1].tobytes() == serial[1][:20].tobytes()
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from iterlog import cmj
+from iterlog import cmj, dist
 from iterlog.cmj import (
     SimConfig,
     clt_statistic,
@@ -127,12 +127,40 @@ def test_lattice_counts_on_every_site(d, pmf):
         counts = monte_carlo(SimConfig(law, 1, n * d, seed=9, replicas=64), workers=1).counts
         same_walk = monte_carlo(SimConfig(unit, 1, float(n), seed=9, replicas=64), workers=1).counts
         assert np.array_equal(counts, np.full_like(counts, exact[0, n]) if deterministic else same_walk)
-    # Y_1 and Y_2 at every site at once, through a 64-replica ensemble block's grid paths
-    config = SimConfig(law, 2, SITES[-1] * d, grid=SITES * d, seed=10, replicas=64)
-    paths = cmj._block(config, 0, range(64))[1]
-    unit_config = SimConfig(unit, 2, float(SITES[-1]), grid=SITES.astype(float), seed=10, replicas=64)
-    expected = exact if deterministic else cmj._block(unit_config, 0, range(64))[1]
+    # Y_1 and Y_2 at every site at once, through the grid paths of a 64-replica block
+    config = SimConfig(law, 2, SITES[-1] * d, grid=SITES * d, seed=10)
+    paths = cmj._simulate_block(config, 64, RngStream(10, 0).generator())[1]
+    unit_config = SimConfig(unit, 2, float(SITES[-1]), grid=SITES.astype(float), seed=10)
+    unit_rng = RngStream(10, 0).generator()
+    expected = exact if deterministic else cmj._simulate_block(unit_config, 64, unit_rng)[1]
     assert np.array_equal(paths, np.broadcast_to(expected, paths.shape))
+
+
+PMF3, ETA2 = np.array([0.5, 0.25, 0.25]), np.array([0.5, 0.5])
+
+
+@pytest.mark.parametrize("d, eta_span", [(0.3, 0.2), (0.7, 0.3)])
+def test_lattice_eta_off_site_counts(d, eta_span):
+    # eta's span is p/q of the walk's (2/3 and 3/7): the walk runs in sites of
+    # d/q = 0.1, so its counts at t = 0.1 n are those of the same walk on
+    # spans 10 d and 10 eta_span at t = n, drawn from the same uniforms
+    law, eta = LatticeLaw(d, PMF3), LatticeLaw(eta_span, ETA2)
+    scaled, scaled_eta = LatticeLaw(round(10 * d), PMF3), LatticeLaw(round(10 * eta_span), ETA2)
+    for n in range(5, 398, 7):
+        counts = monte_carlo(SimConfig(law, 2, 0.1 * n, eta=eta, seed=5, replicas=64), workers=1).counts
+        config = SimConfig(scaled, 2, float(n), eta=scaled_eta, seed=5, replicas=64)
+        assert np.array_equal(counts, monte_carlo(config, workers=1).counts)
+
+
+def test_lattice_eta_half_site_keeps_float_walk(monkeypatch):
+    # span 1 with eta span 0.5 is already exact in float time: walking in
+    # half sites draws the same counts at every half-site horizon
+    law, eta = LatticeLaw(1.0, PMF3), LatticeLaw(0.5, ETA2)
+    configs = [SimConfig(law, 2, 0.5 * n, eta=eta, seed=5, replicas=64) for n in range(5, 398, 7)]
+    sites = [monte_carlo(config, workers=1).counts for config in configs]
+    monkeypatch.setattr(cmj, "_site_units", lambda law, eta: None)
+    for config, counts in zip(configs, sites):
+        assert counts.tobytes() == monte_carlo(config, workers=1).counts.tobytes()
 
 
 def test_perturbed_mean_vs_exact_table():
@@ -159,19 +187,22 @@ def test_variance_against_derived_formula():
     assert 0.9 <= summary.variances[1] / (t**3 / 3.0) <= 1.1
 
 
-def test_monte_carlo_deterministic():
+def test_monte_carlo_deterministic(monkeypatch):
     config = SimConfig(EXP1, levels=2, horizon=30.0, seed=9, replicas=128)
-    a = monte_carlo(config, workers=1)
-    b = monte_carlo(config, workers=1)
-    c = monte_carlo(config, workers=2)
+    monkeypatch.setenv("ITERLOG_THREADS", "1")
+    a = monte_carlo(config)
+    b = monte_carlo(config)
+    monkeypatch.setenv("ITERLOG_THREADS", "2")
+    c = monte_carlo(config)
     assert np.array_equal(a.counts, b.counts)
     assert np.array_equal(a.counts, c.counts)
     assert a.to_dict() == c.to_dict()
     # the perturbed kernel with a grid, serial and through the pool
     grid = np.linspace(0.0, 30.0, 7)
     config = SimConfig(GEOM, levels=3, horizon=30.0, eta=GEOM, grid=grid, seed=9, replicas=128)
-    serial = monte_carlo(config, workers=1)
-    pooled = monte_carlo(config, workers=2)
+    pooled = monte_carlo(config)
+    monkeypatch.setenv("ITERLOG_THREADS", "1")
+    serial = monte_carlo(config)
     assert np.array_equal(serial.counts, pooled.counts)
 
 
@@ -226,14 +257,14 @@ def test_lil_report_band_is_finite():
 def test_decomposition_identity_exponential():
     config = SimConfig(EXP1, levels=2, horizon=80.0, seed=41, replicas=100, retain_gen1=True)
     v_eval = ExponentialRenewal(1.0)
-    parts = decomposition_ensemble(config, 2, v_eval, workers=1)
+    parts = decomposition_ensemble(config, 2, v_eval)
     assert np.max(np.abs(parts[:, 0] + parts[:, 1] - parts[:, 2])) <= 1e-9
 
 
 def test_decomposition_identity_lattice():
     table = renewal_table(GEOM, 2, 60)
     config = SimConfig(GEOM, levels=2, horizon=60.0, seed=42, replicas=50, retain_gen1=True)
-    parts = decomposition_ensemble(config, 2, table, workers=1)
+    parts = decomposition_ensemble(config, 2, table)
     assert np.max(np.abs(parts[:, 0] + parts[:, 1] - parts[:, 2])) <= 1e-9
 
 
@@ -315,9 +346,19 @@ def test_block_size_near_population_cap():
     assert cmj._block_size(SimConfig(EXP1, levels=2, horizon=4400.0, grid=grid)) == 1
 
 
+def _each_worker_count(monkeypatch, run):
+    """run() with ITERLOG_THREADS at 1, 2 and 8, the last on 8 reported cpus."""
+    monkeypatch.setattr(dist.os, "cpu_count", lambda: 8)
+    out = []
+    for w in ("1", "2", "8"):
+        monkeypatch.setenv("ITERLOG_THREADS", w)
+        out.append(run())
+    return out
+
+
 @pytest.mark.parametrize("config, block", BLOCK_CONFIGS[:3])
-def test_ensembles_independent_of_worker_count(config, block):
-    runs = [monte_carlo(config, workers=w).counts for w in (1, 2, 8)]
+def test_ensembles_independent_of_worker_count(config, block, monkeypatch):
+    runs = _each_worker_count(monkeypatch, lambda: monte_carlo(config).counts)
     assert runs[0].shape == (config.replicas, config.levels)
     assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
     # block b is drawn from substream b of (seed, stream_offset)
@@ -328,7 +369,7 @@ def test_ensembles_independent_of_worker_count(config, block):
         assert np.array_equal(runs[0][rows], counts)
     if config.law == EXP1:
         v_eval = ExponentialRenewal(1.0)
-        parts = [decomposition_ensemble(config, 2, v_eval, workers=w) for w in (1, 2, 8)]
+        parts = _each_worker_count(monkeypatch, lambda: decomposition_ensemble(config, 2, v_eval))
         assert parts[0].shape == (config.replicas, 3)
         assert np.array_equal(parts[0], parts[1]) and np.array_equal(parts[0], parts[2])
         assert np.array_equal(parts[0][:, 2], runs[0][:, 1] - v_eval.at(2, config.horizon))

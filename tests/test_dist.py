@@ -117,19 +117,25 @@ def test_substreams_differ_from_each_other_and_from_other_indices():
         RngStream(42, 7, -1)
 
 
-def _tagged_rows(b, rows, seed):
-    # (block, replica, first uniform of the block's substream) for each replica
-    u = RngStream(seed, 0, b).generator().random()
-    return np.array([(b, r, u) for r in rows])
+def _tagged_rows(rng, rows, tag):
+    # (tag, row within the block, first uniform of the block's generator) for each replica
+    u = rng.random()
+    return np.array([(tag, r, u) for r in range(rows)])
 
 
 @pytest.mark.parametrize("total, block", [(1000, 128), (200, 1), (64, 64), (5, 128)])
-def test_map_blocks_rows_in_replica_order(total, block):
-    serial = map_blocks(_tagged_rows, total, block, 1, 3)
+def test_map_blocks_rows_in_replica_order(total, block, monkeypatch):
+    monkeypatch.setenv("ITERLOG_THREADS", "1")
+    serial = map_blocks(_tagged_rows, RngStream(3, 5), total, block, 7)
     assert serial.shape == (total, 3)
-    assert np.array_equal(serial[:, 1], np.arange(total))
-    assert np.array_equal(serial[:, 0], np.arange(total) // block)
-    pooled = map_blocks(_tagged_rows, total, block, 2, 3)
+    assert np.all(serial[:, 0] == 7)
+    assert np.array_equal(serial[:, 1], np.arange(total) % block)
+    # block b draws from substream b of the stream: block 0 from the stream itself
+    blocks = np.arange(total) // block
+    firsts = [RngStream(3, 5, b).generator().random() for b in range(blocks[-1] + 1)]
+    assert np.array_equal(serial[:, 2], np.array(firsts)[blocks])
+    monkeypatch.setenv("ITERLOG_THREADS", "2")
+    pooled = map_blocks(_tagged_rows, RngStream(3, 5), total, block, 7)
     assert np.array_equal(serial, pooled)
 
 

@@ -22,7 +22,7 @@ from iterlog.gauss import (
     sample_bm,
     variance_b2k,
 )
-from iterlog.renewal import renewal_table
+from iterlog.renewal import ExponentialRenewal, renewal_table
 from iterlog.verify import check_gauss
 
 UNIT = LatticeLaw(1.0, np.array([1.0]))
@@ -67,7 +67,7 @@ def test_b1_at_zero():
     # no grid cell lies below t = 0: the weights are empty and the sum is zero
     assert _weights(lambda lag: lag, 0.0, 0.1).size == 0
     path = sample_bm(1.0, 0.1, RngStream(5, 0))
-    assert b2k(path, FkTable.from_renewal(renewal_table(GEOM, 1, 2), 2), 0.0) == 0.0
+    assert b2k(path, FkTable(2, renewal_table(GEOM, 1, 2)), 0.0) == 0.0
 
 
 @pytest.mark.parametrize("t", [10.0, 10.04], ids=["on_grid", "off_grid"])
@@ -77,7 +77,7 @@ def test_b2k_is_row_zero_of_its_ensemble(t):
     # only: each W_{j+1} - W_j of the running sum is off by a few ulp of max |W|,
     # within the stated 1e-12 * sum |g| * max |W|
     h = 0.05
-    fk = FkTable.from_renewal(renewal_table(GEOM, 1, 11), 2)
+    fk = FkTable(2, renewal_table(GEOM, 1, 11))
     path = sample_bm(t, h, RngStream(13, 2))
     row = b2k_ensemble(fk, t, h, 1, RngStream(13, 2))[0]
     g = fk.evaluate(t - h * np.arange(200))
@@ -105,19 +105,29 @@ def test_refinement_changes_little():
 
 
 def test_b2_exponential_weight_vanishes():
-    fk = FkTable.exponential(2)
+    fk = FkTable(2, ExponentialRenewal())
     path = sample_bm(10.0, 0.01, RngStream(7, 0))
     assert b2k(path, fk, 10.0) == 0.0
     assert variance_b2k(fk, 10.0) == 0.0
 
 
+@pytest.mark.parametrize("rate", [1.0, 2.0])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_exponential_weight_is_positive_zero(rate, k):
+    # V_{k-1} is its leading term, so f_k is x - x: +0.0, never -0.0
+    s = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 500), 10.0 - 0.01 * np.arange(1000)))
+    f = FkTable(k, ExponentialRenewal(rate)).evaluate(s)
+    assert f.shape == s.shape
+    assert np.all(f == 0.0) and not np.any(np.signbit(f))
+
+
 def test_b2_grid_mismatch_errors():
     table = renewal_table(GEOM, 1, 50)
-    fk = FkTable.from_renewal(table, 2)
+    fk = FkTable(2, table)
     path = sample_bm(10.0, 0.3, RngStream(8, 0))
     with pytest.raises(ValueError, match="grid mismatch"):
         b2k(path, fk, 9.9)
-    short = FkTable.from_renewal(renewal_table(GEOM, 1, 5), 2)
+    short = FkTable(2, renewal_table(GEOM, 1, 5))
     path2 = sample_bm(10.0, 0.5, RngStream(8, 1))
     with pytest.raises(ValueError, match="cover"):
         b2k(path2, short, 10.0)
@@ -126,7 +136,7 @@ def test_b2_grid_mismatch_errors():
 def test_variance_b2k_unit_law_closed_form():
     # mu = 1, V_1 = floor, so the weight is floor(x) - x and the integral n/3
     table = renewal_table(UNIT, 1, 20)
-    fk = FkTable.from_renewal(table, 2)
+    fk = FkTable(2, table)
     for n in (1, 5, 20):
         assert variance_b2k(fk, float(n)) == pytest.approx(n / 3.0, abs=1e-12)
 
@@ -134,7 +144,7 @@ def test_variance_b2k_unit_law_closed_form():
 def test_variance_b2k_matches_riemann_oracle():
     table = renewal_table(GEOM, 2, 30)
     for k in (2, 3):
-        fk = FkTable.from_renewal(table, k)
+        fk = FkTable(k, table)
         xs = np.arange(0.0, 30.0, 1e-4)
         riemann = float(np.sum(fk.evaluate(xs) ** 2) * 1e-4)
         assert variance_b2k(fk, 30.0) == pytest.approx(riemann, rel=1e-3)
@@ -142,7 +152,7 @@ def test_variance_b2k_matches_riemann_oracle():
 
 def test_b2_ensemble_mean_and_variance():
     table = renewal_table(GEOM, 1, 50)
-    fk = FkTable.from_renewal(table, 2)
+    fk = FkTable(2, table)
     reps = 4_000
     values = b2k_ensemble(fk, 50.0, 0.05, reps, RngStream(9, 0))
     target = variance_b2k(fk, 50.0)
@@ -154,7 +164,7 @@ def test_b2_scaled_second_moment_decreases():
     # the scaled weight variance integral drops along a geometric grid,
     # both exactly and in ensemble
     table = renewal_table(GEOM, 1, 1600)
-    fk = FkTable.from_renewal(table, 2)
+    fk = FkTable(2, table)
     exact = [variance_b2k(fk, t) / t**3 for t in (100.0, 400.0, 1600.0)]
     assert exact[0] > exact[1] > exact[2]
     reps = 2_000
@@ -167,7 +177,7 @@ def test_b2_scaled_second_moment_decreases():
 
 def test_variance_growth_order_bounded():
     table = renewal_table(GEOM, 1, 4000)
-    fk = FkTable.from_renewal(table, 2)
+    fk = FkTable(2, table)
     ratios = [variance_b2k(fk, float(n)) / n for n in (500, 1000, 2000, 4000)]
     assert max(ratios) / min(ratios) < 1.05
 
@@ -183,52 +193,58 @@ def test_variance_b2k_exactness_property(weights, k):
     pmf /= math.fsum(pmf.tolist())
     law = LatticeLaw(1.0, pmf)
     table = renewal_table(law, k - 1, 15)
-    fk = FkTable.from_renewal(table, k)
+    fk = FkTable(k, table)
     xs = np.arange(0.0, 15.0, 2e-4)
     riemann = float(np.sum(fk.evaluate(xs) ** 2) * 2e-4)
     exact = variance_b2k(fk, 15.0)
     assert exact == pytest.approx(riemann, rel=2e-3, abs=2e-3)
 
 
-def _ensembles(replicas, stream, workers):
-    fk = FkTable.from_renewal(renewal_table(GEOM, 1, 20), 2)
-    b1 = b1k_ensemble(2, 10.0, 0.05, replicas, stream, workers)
-    b2 = b2k_ensemble(fk, 10.0, 0.05, replicas, stream, workers)
+def _ensembles(replicas, stream):
+    fk = FkTable(2, renewal_table(GEOM, 1, 20))
+    b1 = b1k_ensemble(2, 10.0, 0.05, replicas, stream)
+    b2 = b2k_ensemble(fk, 10.0, 0.05, replicas, stream)
     return b1, b2
 
 
-def test_ensembles_independent_of_worker_count():
+def test_ensembles_independent_of_worker_count(monkeypatch):
     # 1000 replicas in blocks of 128 leave a ragged last block of 104
-    serial = _ensembles(1000, RngStream(11, 3), workers=1)
-    pooled = _ensembles(1000, RngStream(11, 3), workers=2)
+    monkeypatch.setenv("ITERLOG_THREADS", "1")
+    serial = _ensembles(1000, RngStream(11, 3))
+    monkeypatch.setenv("ITERLOG_THREADS", "2")
+    pooled = _ensembles(1000, RngStream(11, 3))
     for a, b in zip(serial, pooled):
         assert a.shape == (1000,)
         assert np.array_equal(a, b)
 
 
-def test_ensemble_block_zero_is_the_stream_prefix():
+def test_ensemble_block_zero_is_the_stream_prefix(monkeypatch):
     t, h = 10.0, 0.05
     weights = (t - h * np.arange(200)) ** 1
     dw = RngStream(11, 3).generator().normal(0.0, math.sqrt(h), (128, 200))
-    b1, _ = _ensembles(1000, RngStream(11, 3), workers=2)
+    monkeypatch.setenv("ITERLOG_THREADS", "2")
+    b1, _ = _ensembles(1000, RngStream(11, 3))
     assert np.array_equal(b1[:128], (dw * weights).sum(axis=1))
 
 
 def test_ensemble_blocks_draw_distinct_substreams(monkeypatch):
-    b1, b2 = _ensembles(256, RngStream(11, 3), workers=1)
-    next_index, _ = _ensembles(256, RngStream(11, 4), workers=1)
+    monkeypatch.setenv("ITERLOG_THREADS", "1")
+    b1, b2 = _ensembles(256, RngStream(11, 3))
+    next_index, _ = _ensembles(256, RngStream(11, 4))
     assert not np.any(b1[128:] == b1[:128])
     assert not np.any(b1[128:] == next_index[:128])
     # the block size fixes the values: rows past the first block move with it
     monkeypatch.setattr(gauss, "BLOCK_ROWS", 64)
-    small, _ = _ensembles(256, RngStream(11, 3), workers=1)
+    small, _ = _ensembles(256, RngStream(11, 3))
     assert np.array_equal(small[:64], b1[:64])
     assert not np.array_equal(small[64:128], b1[64:128])
 
 
-def test_check_gauss_independent_of_worker_count():
-    serial = [r.to_dict() for r in check_gauss(3, workers=1)]
-    assert serial == [r.to_dict() for r in check_gauss(3, workers=2)]
+def test_check_gauss_independent_of_worker_count(monkeypatch):
+    monkeypatch.setenv("ITERLOG_THREADS", "1")
+    serial = [r.to_dict() for r in check_gauss(3)]
+    monkeypatch.setenv("ITERLOG_THREADS", "2")
+    assert serial == [r.to_dict() for r in check_gauss(3)]
 
 
 def test_sites_at_non_unit_span():
@@ -236,7 +252,7 @@ def test_sites_at_non_unit_span():
     # n * 0.7 by more than 1e-9 / 0.7 from n = 7299 on; they still sit on site n
     n = 10_000
     sites = np.cumsum(np.full(n, 0.7))
-    fk = FkTable.from_renewal(renewal_table(LatticeLaw(0.7, np.array([1.0])), 1, n + 1), 2)
+    fk = FkTable(2, renewal_table(LatticeLaw(0.7, np.array([1.0])), 1, n + 1))
     assert np.max(np.abs(fk.evaluate(sites))) < 1e-6  # f_2 = V_1(t) - t / 0.7 on sites
     assert [_cells_below(t, 0.7) for t in sites] == list(range(1, n + 1))
     path = sample_bm(n * 0.7, 0.7, RngStream(12, 0))
@@ -247,7 +263,7 @@ def test_sites_at_non_unit_span():
 
 @pytest.mark.parametrize("h", [0.0, -0.1, 2.0])
 def test_ensembles_refuse_bad_steps(h):
-    for ensemble, weight in ((b1k_ensemble, 2), (b2k_ensemble, FkTable.exponential(2))):
+    for ensemble, weight in ((b1k_ensemble, 2), (b2k_ensemble, FkTable(2, ExponentialRenewal()))):
         with pytest.raises(ValueError, match=r"need h > 0 and t_max >= h"):
             ensemble(weight, 1.0, h, 4, RngStream(0, 0))
 
@@ -258,8 +274,8 @@ def test_bm_path_validation():
     path = BmPath(0.1, np.zeros(11))
     for t in (2.0, 1.05, -0.1):
         with pytest.raises(ValueError, match="horizon"):
-            b2k(path, FkTable.exponential(2), t)
-    assert b2k(path, FkTable.exponential(2), 1.0) == 0.0
+            b2k(path, FkTable(2, ExponentialRenewal()), t)
+    assert b2k(path, FkTable(2, ExponentialRenewal()), 1.0) == 0.0
 
 
 def test_weighted_sums_chunks_draw_one_block():
@@ -271,7 +287,7 @@ def test_weighted_sums_chunks_draw_one_block():
         dw = RngStream(17, 4, b).generator().normal(0.0, math.sqrt(h), (rows, steps))
         dw *= weights
         expected = dw.sum(axis=1)
-        got = _weighted_sums(b, range(rows), weights, h, 17, 4)
+        got = _weighted_sums(RngStream(17, 4, b).generator(), rows, weights, h)
         assert got.tobytes() == expected.tobytes()
 
 
@@ -280,7 +296,7 @@ def test_weighted_sums_memory_flat_in_rows():
     weights = np.linspace(1.0, 2.0, 20_000)
     tracemalloc.start()
     try:
-        _weighted_sums(0, range(128), weights, 0.005, 5, 0)
+        _weighted_sums(RngStream(5, 0).generator(), 128, weights, 0.005)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

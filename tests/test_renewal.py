@@ -179,6 +179,17 @@ def test_memory_guard():
     assert peak < 2**20
 
 
+def test_leading_term_arrays():
+    t = np.array([0.0, 0.5, 3.0, 1e4])
+    for k in (1, 2, 5):
+        got = leading_term(k, 1.5, t)
+        assert got.tobytes() == np.array([leading_term(k, 1.5, x) for x in t.tolist()]).tobytes()
+    with pytest.raises(ValueError, match="t >= 0"):
+        leading_term(2, 1.0, np.array([1.0, -1e-300, 2.0]))
+    with pytest.raises(ValueError, match="t >= 0"):
+        leading_term(2, 1.0, -1.0)
+
+
 def test_leading_term_values():
     assert leading_term(2, 1.0, 10.0) == 50.0
     assert leading_term(1, 2.0, 8.0) == 4.0
@@ -344,6 +355,26 @@ def test_table_at_non_integer_span():
     for t in (-0.3, (n_max + 1) * 0.3):
         with pytest.raises(ValueError, match="horizon"):
             table.at(1, t)
+        # one element past the horizon refuses the whole array
+        with pytest.raises(ValueError, match="horizon"):
+            table.at(1, np.array([0.0, 3.0, t, 6.0]))
+
+
+def test_table_at_array_equals_scalar_reads():
+    # the on-site span-0.3 cases from site 110000 on, off-site points, and a
+    # geometric table's own levels read at sites of a non-unit span
+    n_max = 130_000
+    on_sites = RenewalTable(0.3, np.arange(n_max + 1.0)[np.newaxis, :], 1.0)
+    ts = np.concatenate((
+        np.arange(110_000, n_max + 1) * 0.3,
+        np.array([0.0, 110_000.5 * 0.3, (110_000 - 1e-3) * 0.3, n_max * 0.3]),
+    ))
+    geom = renewal_table(geometric_lattice(0.5, span=0.7), 3, 400)
+    for table, t in ((on_sites, ts), (geom, 0.7 * np.arange(401)), (geom, np.linspace(0.0, 280.0, 997))):
+        for k in range(1, table.levels + 1):
+            got = table.at(k, t)
+            assert got.shape == t.shape
+            assert got.tobytes() == np.array([table.at(k, x) for x in t.tolist()]).tobytes()
 
 
 def _exact_levels(step: LatticeLaw, levels: int, n_max: int, eta: LatticeLaw | None = None) -> np.ndarray:

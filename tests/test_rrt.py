@@ -187,9 +187,11 @@ def test_profile_pmf_matches_unique_rows(low, high):
     assert profile_pmf_from_samples(samples[:0]) == {}
 
 
-def test_check_rrt_independent_of_worker_count():
-    serial = [r.to_dict() for r in check_rrt(3, workers=1)]
-    assert serial == [r.to_dict() for r in check_rrt(3, workers=2)]
+def test_check_rrt_independent_of_worker_count(monkeypatch):
+    monkeypatch.setenv("ITERLOG_THREADS", "1")
+    serial = [r.to_dict() for r in check_rrt(3)]
+    monkeypatch.setenv("ITERLOG_THREADS", "2")
+    assert serial == [r.to_dict() for r in check_rrt(3)]
 
 
 def test_yule_epochs():
