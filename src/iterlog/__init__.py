@@ -24,7 +24,6 @@ from .renewal import (
     renewal_table,
 )
 from .cmj import (
-    FluctuationParts,
     MonteCarloSummary,
     SimConfig,
     SimOutcome,

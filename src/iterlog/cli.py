@@ -303,8 +303,8 @@ def _cmd_verify(cfg: ExperimentConfig) -> int:
     if cfg.plot:
         grid, stats = verify.lil_extrema_series(cfg.seed)
         series = [
-            Series(grid, stats.max(axis=0), "running max", "line"),
-            Series(grid, stats.min(axis=0), "running min", "line"),
+            Series(grid, stats.max(axis=0), "running max"),
+            Series(grid, stats.min(axis=0), "running min"),
         ]
         emit_plot(
             series,

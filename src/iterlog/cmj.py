@@ -7,7 +7,9 @@ generation: generation 1 is the offspring of a root at time 0, and only
 births inside [0, t] are materialized.  An ensemble simulates a block of
 replicas per kernel call, every birth labelled with its replica;
 ``dist.map_blocks`` runs block b on substream b of one stream, so
-ensembles are reproducible under any parallel schedule.
+ensembles are reproducible under any parallel schedule.  A block's labelled
+level-1 births also give the placement term J_k of the split
+Y_k - V_k = I_k + J_k (``decompose_fluctuation``).
 ``monte_carlo`` centers its CLT and iterated-logarithm statistics at the
 leading term t^k / (k! mu^k) of the level-k expectation.
 """
@@ -15,7 +17,7 @@ leading term t^k / (k! mu^k) of the level-k expectation.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +40,6 @@ class SimConfig:
     seed: int = 0
     replicas: int = 1
     population_cap: float = 1e7
-    retain_gen1: bool = False
     stream_offset: int = 0
 
     def __post_init__(self):
@@ -48,8 +49,7 @@ class SimConfig:
             raise ValueError("need at least one generation")
         if self.replicas < 1:
             raise ValueError("need at least one replica")
-        mu = self.law.moments().mean
-        expected = sum(leading_term(k, mu, self.horizon) for k in range(1, self.levels + 1))
+        expected = _expected_births(self, self.levels)
         if expected > self.population_cap:
             raise ValueError(
                 f"horizon/generation cap: expected {expected:.3g} births per replica "
@@ -64,22 +64,18 @@ class SimConfig:
             object.__setattr__(self, "grid", grid)
 
 
+def _expected_births(config: SimConfig, levels: int) -> float:
+    """Leading-order expected births of one replica in generations 1..levels."""
+    mu = config.law.moments().mean
+    return sum(leading_term(k, mu, config.horizon) for k in range(1, levels + 1))
+
+
 @dataclass
 class SimOutcome:
-    """Per-replica generation counts, optional path, optional level-1 times."""
+    """Per-replica generation counts and optional path."""
 
     counts: np.ndarray  # (K,) int64
     path: np.ndarray | None = None  # (K, grid size) int64
-    gen1_times: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class FluctuationParts:
-    """Split of Y_k - V_k into subtree noise I_k and level-1 placement noise J_k."""
-
-    i_k: float
-    j_k: float
-    total: float
 
 
 def _children(
@@ -142,9 +138,7 @@ MAX_BLOCK = 64
 def _block_size(config: SimConfig) -> int:
     """Replicas per block: BLOCK_DRAWS over the expected walked births of a
     replica, clamped to [1, MAX_BLOCK]."""
-    mu = config.law.moments().mean
-    walked = config.levels - _poisson_last(config)
-    births = sum(leading_term(k, mu, config.horizon) for k in range(1, walked + 1))
+    births = _expected_births(config, config.levels - _poisson_last(config))
     return min(MAX_BLOCK, max(1, int(BLOCK_DRAWS / births)))
 
 
@@ -166,18 +160,20 @@ def _site_units(law: Law, eta: Law | None) -> tuple[int, int] | None:
 
 def _simulate_block(
     config: SimConfig, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray | None, list[np.ndarray] | None]:
+) -> tuple[np.ndarray, np.ndarray | None, tuple[np.ndarray, np.ndarray]]:
     """Simulate n replicas from one generator.
 
     Returns counts (n, K), paths (n, K, grid size) when the config has a
-    grid, and each replica's level-1 birth times (in draw order, which is
-    time order for a standard walk) when it retains them.  Every birth carries the index of its replica, so one
-    bincount per generation yields the counts of the whole block.
+    grid, and the block's level-1 births as (times, replica indices), in
+    draw order, which within a replica is time order for a standard walk.
+    Every birth carries the index of its replica, so one bincount per
+    generation yields the counts of the whole block.
 
     A lattice walk of span d (with no eta, or a lattice eta of span p d / q)
     runs in sites of d / q, where a birth is an integer, exact in float64, so
     none on a site rounds past the horizon or a grid point; those become the
-    sites they fall on.  Any other walk runs in float time.
+    sites they fall on, and level-1 times are scaled back by d / q.  Any
+    other walk runs in float time.
     """
     t, law, eta, grid = config.horizon, config.law, config.eta, config.grid
     d = 1.0
@@ -194,18 +190,16 @@ def _simulate_block(
     counts = np.zeros((n, config.levels), dtype=np.int64)
     paths = None if grid is None else np.zeros((n, config.levels, grid.size), dtype=np.int64)
     gen, owners = np.zeros(n), np.arange(n)
-    gen1 = None
     for k in range(config.levels - poisson_last):
         gen, owners = _children(rng, law, eta, gen, owners, t, m)
+        if k == 0:
+            gen1 = gen * d, owners
         counts[:, k] = np.bincount(owners, minlength=n)
         if paths is not None:
             # cell j of a replica holds its births in (grid[j-1], grid[j]]
             cells = owners * (grid.size + 1) + np.searchsorted(grid, gen)
             per_cell = np.bincount(cells, minlength=n * (grid.size + 1)).reshape(n, -1)
             paths[:, k] = np.cumsum(per_cell, axis=1)[:, :-1]
-        if k == 0 and config.retain_gen1:
-            order = np.argsort(owners, kind="stable")
-            gen1 = np.split(gen[order] * d, np.cumsum(counts[:-1, 0]))
     if poisson_last:
         exposure = np.bincount(owners, weights=t - gen, minlength=n)
         counts[:, -1] = rng.poisson(law.params["rate"] * exposure)
@@ -213,7 +207,7 @@ def _simulate_block(
 
 
 def simulate_generations(config: SimConfig, replica: int) -> SimOutcome:
-    """Simulate one replica: counts Y_k(t) for k = 1..K, optional path/times.
+    """Simulate one replica: counts Y_k(t) for k = 1..K and optional path.
 
     The replica is a block of one on stream (seed, stream_offset + replica).
     Generation 1 is the offspring of one root at time 0, and every
@@ -221,10 +215,8 @@ def simulate_generations(config: SimConfig, replica: int) -> SimOutcome:
     [0, t] are materialized.
     """
     rng = RngStream(config.seed, config.stream_offset + replica).generator()
-    counts, paths, gen1 = _simulate_block(config, 1, rng)
-    return SimOutcome(
-        counts[0], None if paths is None else paths[0], None if gen1 is None else gen1[0]
-    )
+    counts, paths, _ = _simulate_block(config, 1, rng)
+    return SimOutcome(counts[0], None if paths is None else paths[0])
 
 
 def _power(t: float, exponent: float) -> float:
@@ -259,26 +251,30 @@ def lil_statistic(yk, k: int, t: float, m: Moments, center: float):
 
 
 def decompose_fluctuation(
-    gen1_times: np.ndarray | None,
-    yk: float,
+    births: np.ndarray,
+    owners: np.ndarray,
+    yk: np.ndarray,
     k: int,
     t: float,
-    v_eval: "RenewalTable | ExponentialRenewal",
-) -> FluctuationParts:
-    """Split Y_k - V_k into I_k + J_k using retained level-1 birth times.
+    levels: "RenewalTable | ExponentialRenewal",
+) -> np.ndarray:
+    """Rows (I_k, J_k, Y_k - V_k) of a block of R replicas: ``births`` are the
+    block's level-1 birth times, ``owners`` their replica indices in 0..R-1,
+    and ``yk`` the R level-k counts.
 
-    J_k is the expected-subtree placement term
-    sum_r V_{k-1}(t - S_r) - V_k(t); I_k is the remainder, so the identity
-    I_k + J_k = Y_k - V_k holds by construction up to accumulation error.
+    J_k = sum_r V_{k-1}(t - S_r) - V_k(t) is the placement term of the
+    paper's split Y_k - V_k = I_k + J_k, and I_k is the remainder, so the
+    identity holds up to rounding.  ``levels`` reads V_{k-1} at every birth
+    in one array call; math.fsum rounds each replica's sum exactly, so the
+    order of its births does not matter.
     """
     if k < 2:
         raise ValueError("decomposition needs k >= 2")
-    if gen1_times is None:
-        raise ValueError("missing retained birth times: simulate with retain_gen1")
-    vk_t = v_eval.at(k, t)
-    j_k = math.fsum(v_eval.at(k - 1, t - s) for s in gen1_times.tolist()) - vk_t
+    subtree = levels.at(k - 1, t - births)
+    vk_t = levels.at(k, t)
+    j_k = np.array([math.fsum(subtree[owners == r]) for r in range(yk.size)]) - vk_t
     total = yk - vk_t
-    return FluctuationParts(total - j_k, j_k, total)
+    return np.column_stack((total - j_k, j_k, total))
 
 
 @dataclass
@@ -365,13 +361,8 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> MonteCarloSumm
 
 
 def _decomposition_rows(rng: np.random.Generator, rows: int, config: SimConfig, k: int, v_eval) -> np.ndarray:
-    counts, _, gen1 = _simulate_block(config, rows, rng)
-    t = config.horizon
-    parts = (
-        decompose_fluctuation(times, float(yk), k, t, v_eval)
-        for times, yk in zip(gen1, counts[:, k - 1])
-    )
-    return np.array([astuple(p) for p in parts])
+    counts, _, (births, owners) = _simulate_block(config, rows, rng)
+    return decompose_fluctuation(births, owners, counts[:, k - 1], k, config.horizon, v_eval)
 
 
 def decomposition_ensemble(
@@ -379,8 +370,6 @@ def decomposition_ensemble(
 ) -> np.ndarray:
     """Per-replica (I_k, J_k, Y_k - V_k) rows, replicas in index order, in the
     blocks and on the substreams of ``monte_carlo``."""
-    if not config.retain_gen1:
-        config = replace(config, retain_gen1=True)
     if k < 2 or k > config.levels:
         raise ValueError("decomposition level must satisfy 2 <= k <= K")
     return _ensemble(_decomposition_rows, config, k, v_eval)

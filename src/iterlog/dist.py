@@ -270,42 +270,45 @@ def map_blocks(
         return np.concatenate(list(pool.map(run, [blocks[b : b + step] for b in blocks[::step]])))
 
 
+#: Keys each law family takes; a lattice law's pmf follows them after ';p='.
+_LAW_KEYS = {"lattice": ("d",), "geom": ("p", "d"), "exp": ("rate",),
+             "gamma": ("shape", "rate"), "unif": ("lo", "hi")}
+
+
 def parse_law(spec: str) -> Law:
     """Parse the law grammar used by the CLI and config files.
 
     Forms: ``exp:rate=1.0``, ``gamma:shape=2,rate=1``,
     ``unif:lo=0.5,hi=1.5``, ``lattice:d=1;p=0.5,0.3,0.2``
     (pmf listed from support index 1) and ``geom:p=0.5`` as sugar for the
-    truncated geometric lattice law.
+    truncated geometric lattice law.  A key the family does not take is refused.
     """
     text = spec.strip()
     if ":" not in text:
         raise ValueError(f"bad law spec {spec!r}: missing family tag")
     family, _, body = text.partition(":")
     family = family.strip().lower()
+    if family not in _LAW_KEYS:
+        raise ValueError(f"bad law spec {spec!r}: unknown family {family!r}")
+    head, _, tail = body.partition(";") if family == "lattice" else (body, "", "")
+    keys = _LAW_KEYS[family]
     try:
+        kv = parse_kv(head)
+        unknown = kv.keys() - set(keys)
+        if unknown:
+            raise ValueError(f"{family} law takes {', '.join(keys)}, not {', '.join(sorted(unknown))}")
         if family == "lattice":
-            head, _, tail = body.partition(";")
-            d = float(parse_kv(head)["d"])
+            d = float(kv["d"])
             tail = tail.strip()
             if not tail.startswith("p="):
                 raise ValueError("lattice law needs ';p=...' pmf list")
             pmf = np.array([float(x) for x in tail[2:].split(",")], dtype=np.float64)
             return LatticeLaw(d, pmf)
         if family == "geom":
-            kv = parse_kv(body)
             return geometric_lattice(float(kv["p"]), float(kv.get("d", 1.0)))
-        if family == "exp":
-            return SmoothLaw("exp", {"rate": float(parse_kv(body)["rate"])})
-        if family == "gamma":
-            kv = parse_kv(body)
-            return SmoothLaw("gamma", {"shape": float(kv["shape"]), "rate": float(kv["rate"])})
-        if family == "unif":
-            kv = parse_kv(body)
-            return SmoothLaw("unif", {"lo": float(kv["lo"]), "hi": float(kv["hi"])})
+        return SmoothLaw(family, {key: float(kv[key]) for key in keys})
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad law spec {spec!r}: {exc}") from exc
-    raise ValueError(f"bad law spec {spec!r}: unknown family {family!r}")
 
 
 def parse_kv(text: str) -> dict:

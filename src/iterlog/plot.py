@@ -1,4 +1,4 @@
-"""Minimal self-contained SVG emitter for line/scatter series.
+"""Minimal self-contained SVG emitter for line series; one point is a circle.
 
 No plotting dependency: the output is a deterministic text file, so plots
 produced from the same data are byte identical.
@@ -21,15 +21,12 @@ class Series:
     x: np.ndarray
     y: np.ndarray
     label: str = ""
-    kind: str = "line"  # "line" or "scatter"
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.float64)
         if self.x.size != self.y.size:
             raise ValueError("series x and y lengths differ")
-        if self.kind not in ("line", "scatter"):
-            raise ValueError(f"unknown series kind {self.kind!r}")
 
 
 def emit_plot(
@@ -121,7 +118,7 @@ def emit_plot(
         color = _COLORS[i % len(_COLORS)]
         x = np.log10(s.x) if log_x else s.x
         pts = [(sx(float(a)), sy(float(b))) for a, b in zip(x, s.y)]
-        if s.kind == "line" and len(pts) > 1:
+        if len(pts) > 1:
             joined = " ".join(f"{a:.2f},{b:.2f}" for a, b in pts)
             parts.append(f'<polyline points="{joined}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         else:

@@ -243,7 +243,6 @@ def check_decomposition(seed: int) -> list[CheckResult]:
             horizon=t,
             seed=seed,
             replicas=200,
-            retain_gen1=True,
             stream_offset=_offset("c6", i),
         )
         parts = cmj.decomposition_ensemble(config, 2, v_eval)

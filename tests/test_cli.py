@@ -313,10 +313,13 @@ def test_level1_chi2_p_value_pinned():
     [
         ("c7", {"c7_profile_tv": 0.004276666666666665, "c7_level1_mean": 0.26409018890654695}),
         ("c8", {"c8_b1_variance": 323.49148717957263, "c8_b2_lattice_variance": 8.284471566118645}),
+        ("c6", {"c6_identity": 0.0,
+                "c6_subtree_trend": [0.06307287768872175, 0.03207544846685959, 0.028095288334278847]}),
     ],
 )
 def test_tree_and_gauss_values_pinned(check, pinned):
-    # drawing the tree and Gaussian blocks a chunk at a time must not move a seed-7 value
+    # drawing the tree and Gaussian blocks a chunk at a time, or reading J_k a
+    # block at a time, must not move a seed-7 value
     computed = {c.name: c.computed for c in verify.run_check(check, 7)}
     assert {name: computed[name] for name in pinned} == pinned
 
@@ -443,7 +446,7 @@ def test_readme_commands_resolve():
 
 def test_emit_plot_single_point(tmp_path):
     path = tmp_path / "one.svg"
-    emit_plot([Series(np.array([1.0]), np.array([2.0]), kind="scatter")], str(path))
+    emit_plot([Series(np.array([1.0]), np.array([2.0]))], str(path))
     body = path.read_text()
     assert "<circle" in body
 

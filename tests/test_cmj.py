@@ -255,7 +255,7 @@ def test_lil_report_band_is_finite():
 
 
 def test_decomposition_identity_exponential():
-    config = SimConfig(EXP1, levels=2, horizon=80.0, seed=41, replicas=100, retain_gen1=True)
+    config = SimConfig(EXP1, levels=2, horizon=80.0, seed=41, replicas=100)
     v_eval = ExponentialRenewal(1.0)
     parts = decomposition_ensemble(config, 2, v_eval)
     assert np.max(np.abs(parts[:, 0] + parts[:, 1] - parts[:, 2])) <= 1e-9
@@ -263,24 +263,23 @@ def test_decomposition_identity_exponential():
 
 def test_decomposition_identity_lattice():
     table = renewal_table(GEOM, 2, 60)
-    config = SimConfig(GEOM, levels=2, horizon=60.0, seed=42, replicas=50, retain_gen1=True)
+    config = SimConfig(GEOM, levels=2, horizon=60.0, seed=42, replicas=50)
     parts = decomposition_ensemble(config, 2, table)
     assert np.max(np.abs(parts[:, 0] + parts[:, 1] - parts[:, 2])) <= 1e-9
 
 
-def test_decomposition_empty_first_generation():
-    v_eval = ExponentialRenewal(1.0)
-    parts = decompose_fluctuation(np.empty(0), 0.0, 2, 4.0, v_eval)
-    assert parts.j_k == -v_eval.at(2, 4.0)
-    assert parts.i_k == 0.0
-
-
-def test_decomposition_requires_times_and_level():
-    v_eval = ExponentialRenewal(1.0)
-    with pytest.raises(ValueError, match="retain_gen1"):
-        decompose_fluctuation(None, 1.0, 2, 4.0, v_eval)
+@pytest.mark.parametrize("levels", [ExponentialRenewal(1.0), renewal_table(GEOM, 3, 8)])
+def test_decomposition_of_a_hand_built_block(levels):
+    # replica 0 has no level-1 births; replica 1's are out of time order
+    births, owners, yk = np.array([2.5, 0.5, 3.25]), np.array([1, 1, 1]), np.array([0, 7])
+    rows = decompose_fluctuation(births, owners, yk, 3, 4.0, levels)
+    v3 = levels.at(3, 4.0)
+    j1 = math.fsum(levels.at(2, 4.0 - s) for s in (2.5, 0.5, 3.25)) - v3
+    assert rows.shape == (2, 3)
+    assert list(rows[0]) == [0.0, -v3, -v3]
+    assert list(rows[1]) == [7 - v3 - j1, j1, 7 - v3]
     with pytest.raises(ValueError, match="k >= 2"):
-        decompose_fluctuation(np.empty(0), 1.0, 1, 4.0, v_eval)
+        decompose_fluctuation(births, owners, yk, 1, 4.0, levels)
 
 
 def test_expected_population_values():
@@ -315,8 +314,7 @@ def test_degenerate_law_has_no_statistics():
 
 
 # Block configs: (config, block size).  A ragged last block in each; the
-# second walks three generations with eta and a grid, the third retains
-# its level-1 times.
+# second walks three generations with eta and a grid.
 BLOCK_CONFIGS = [
     (SimConfig(EXP1, levels=2, horizon=30.0, seed=5, replicas=150), 64),
     (
@@ -326,7 +324,7 @@ BLOCK_CONFIGS = [
         ),
         64,
     ),
-    (SimConfig(EXP1, levels=3, horizon=20.0, seed=6, replicas=100, retain_gen1=True), 64),
+    (SimConfig(EXP1, levels=3, horizon=20.0, seed=6, replicas=100), 64),
     (SimConfig(GEOM, levels=3, horizon=60.0, seed=7, replicas=40), 13),
 ]
 
@@ -379,7 +377,7 @@ def test_block_paths_recount_each_replica(monkeypatch):
     base, _ = BLOCK_CONFIGS[1]
     config = SimConfig(
         base.law, levels=3, horizon=base.horizon, eta=base.eta, grid=base.grid,
-        seed=11, retain_gen1=True,
+        seed=11,
     )
     kernel, drawn = cmj._children, []
 
@@ -390,10 +388,10 @@ def test_block_paths_recount_each_replica(monkeypatch):
 
     monkeypatch.setattr(cmj, "_children", spy)
     n = 20
-    counts, paths, gen1 = cmj._simulate_block(config, n, RngStream(11, 0).generator())
+    counts, paths, (births1, owners1) = cmj._simulate_block(config, n, RngStream(11, 0).generator())
     assert paths.shape == (n, 3, config.grid.size) and len(drawn) == 3
     for r in range(n):
-        times = np.sort(gen1[r])
+        times = np.sort(births1[owners1 == r])
         assert np.array_equal(paths[r, 0], np.searchsorted(times, config.grid, side="right"))
         for k, (births, owners) in enumerate(drawn):
             mine = np.sort(births[owners == r])
@@ -405,13 +403,14 @@ def test_block_paths_recount_each_replica(monkeypatch):
 @pytest.mark.parametrize("law, levels, t", [(GEOM, 3, 60.0), (EXP1, 2, 400.0)])
 def test_retained_times_per_replica(law, levels, t):
     # at t = 400 some level-1 walks take a second round, so a replica's
-    # births are not contiguous until they are sorted by replica
-    config = SimConfig(law, levels=levels, horizon=t, seed=3, retain_gen1=True)
+    # births are not contiguous in the block, yet still in time order
+    config = SimConfig(law, levels=levels, horizon=t, seed=3)
     n = cmj._block_size(config) + 3
-    counts, _, gen1 = cmj._simulate_block(config, n, RngStream(3, 0).generator())
-    assert len(gen1) == n
-    assert [times.size for times in gen1] == list(counts[:, 0])
-    for times in gen1:
+    counts, _, (births1, owners1) = cmj._simulate_block(config, n, RngStream(3, 0).generator())
+    assert births1.shape == owners1.shape and set(owners1.tolist()) <= set(range(n))
+    assert [np.count_nonzero(owners1 == r) for r in range(n)] == list(counts[:, 0])
+    for r in range(n):
+        times = births1[owners1 == r]
         assert np.all(np.diff(times) > 0)
         assert times.size == 0 or (times[0] > 0 and times[-1] <= t)
 

@@ -231,6 +231,25 @@ def test_law_grammar_errors(bad):
         parse_law(bad)
 
 
+@pytest.mark.parametrize(
+    "spec, law, extra, message",
+    [
+        ("lattice:d=1;p=0.5,0.5", LatticeLaw(1.0, np.array([0.5, 0.5])), "lattice:d=1,x=2;p=0.5,0.5",
+         "lattice law takes d, not x"),
+        ("geom:p=0.5,d=2", geometric_lattice(0.5, 2.0), "geom:p=0.5,d=2,q=1", "geom law takes p, d, not q"),
+        ("exp:rate=1", SmoothLaw("exp", {"rate": 1.0}), "exp:rate=1,rat=3", "exp law takes rate, not rat"),
+        ("gamma:shape=2,rate=1", SmoothLaw("gamma", {"shape": 2.0, "rate": 1.0}),
+         "gamma:shape=2,rate=1,scale=1", "gamma law takes shape, rate, not scale"),
+        ("unif:lo=0.5,hi=1.5", SmoothLaw("unif", {"lo": 0.5, "hi": 1.5}), "unif:lo=0.5,hi=1.5,mid=1,z=0",
+         "unif law takes lo, hi, not mid, z"),
+    ],
+)
+def test_law_spec_refuses_keys_it_does_not_read(spec, law, extra, message):
+    assert parse_law(spec) == law
+    with pytest.raises(ValueError, match=message):
+        parse_law(extra)
+
+
 def test_smooth_law_validation():
     with pytest.raises(ValueError, match="family"):
         SmoothLaw("cauchy", {})
