@@ -292,7 +292,7 @@ def _cmd_verify(cfg: ExperimentConfig) -> int:
     # imported here: verify loads scipy.stats (~1 s), which no other command needs
     from . import verify
 
-    if cfg.checks:
+    if cfg.checks is not None:
         report = verify.VerificationReport("custom", cfg.seed)
         for name in cfg.checks.split(","):
             report.checks.extend(verify.run_check(name.strip(), cfg.seed))
@@ -301,7 +301,8 @@ def _cmd_verify(cfg: ExperimentConfig) -> int:
     text = report.to_json() if cfg.fmt == "json" else report.to_text()
     _emit(text, cfg.out)
     if cfg.plot:
-        grid, stats = verify.lil_extrema_series(cfg.seed)
+        ran = [c.series for c in report.checks if c.series is not None]
+        grid, stats = ran[0] if ran else verify.lil_extrema_series(cfg.seed)
         series = [
             Series(grid, stats.max(axis=0), "running max"),
             Series(grid, stats.min(axis=0), "running min"),

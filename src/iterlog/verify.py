@@ -48,6 +48,8 @@ class CheckResult:
     tolerance: float | str
     provenance: str
     gated: bool = True
+    #: r_lil's (grid, stats), which ``verify --plot`` draws; no report reads it
+    series: tuple | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -401,6 +403,7 @@ def check_lil_extrema(seed: int) -> list[CheckResult]:
             "report-only",
             "mc",
             gated=False,
+            series=(grid, stats),
         )
     ]
 

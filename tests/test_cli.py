@@ -204,6 +204,20 @@ def test_rrt_enumerate_json(capsys):
     assert pmf["2,1,0"] == pytest.approx(0.5)
 
 
+def test_rrt_enumerate_past_nine_vertices(capsys):
+    assert run(["rrt", "--enumerate", "12", "--K", "2"]) == 0
+    pmf = json.loads(_capture(capsys))
+    assert math.fsum(pmf.values()) == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert all(sum(map(int, key.split(","))) <= 12 for key in pmf)
+
+
+def test_rrt_enumerate_over_the_state_limit(capsys):
+    assert run(["rrt", "--enumerate", "51", "--K", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "profile chain at n = 51, K = 3 walks more than 262144 states" in captured.err
+
+
 def test_rrt_needs_a_level(capsys):
     assert run(["rrt", "--n", "5", "--K", "0"]) == 2
     assert run(["rrt", "--enumerate", "3", "--K", "0"]) == 2
@@ -283,6 +297,23 @@ def test_verify_gated_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in _capture(capsys)
 
 
+def test_verify_plot_reuses_the_r_lil_series(monkeypatch, tmp_path, capsys):
+    real, calls = verify.lil_extrema_series, []
+
+    def counted(seed):
+        calls.append(seed)
+        return real(seed, replicas=20)
+
+    monkeypatch.setattr(verify, "lil_extrema_series", counted)
+    assert run(["verify", "--checks", "r_lil", "--seed", "7", "--plot", str(tmp_path / "a.svg")]) == 0
+    assert calls == [7]  # the check's series is the plot's
+    # a run without r_lil computes the same series for its plot
+    assert run(["verify", "--checks", "c1", "--seed", "7", "--plot", str(tmp_path / "b.svg")]) == 0
+    assert calls == [7, 7]
+    assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+    capsys.readouterr()
+
+
 def test_lil_extrema_series_independent_of_worker_count(monkeypatch):
     # 64 replicas, the fewest that map_blocks hands to a pool
     monkeypatch.setenv("ITERLOG_THREADS", "1")
@@ -348,7 +379,8 @@ def test_usage_errors(capsys):
     assert run(["renewal", "--law", "exp:rate=1", "--N", "5"]) == 2  # needs a lattice law
     assert run(["renewal", "--law", "geom:p=0.5", "--eta", "exp:rate=1", "--N", "5"]) == 2
     assert run(["verify", "--checks", "zzz"]) == 2
-    capsys.readouterr()
+    assert run(["verify", "--checks", ""]) == 2  # an empty list names no check; it is not the fast suite
+    assert capsys.readouterr().out == ""
 
 
 def test_config_file_round_trip(tmp_path, capsys):
@@ -385,8 +417,9 @@ def test_config_flag_overrides_file(tmp_path, capsys):
         (["verify", "--checks", "c1"], {"suite": "slow"}, "config suite must be one of fast, full"),
         (["mc", "--law", "exp:rate=1", "--t", "5"], {"fmt": "svg"}, "mc writes csv or json, not svg"),
         (["moments", "--law", "exp:rate=1"], [1, 2], "config file must hold a JSON object"),
+        (["verify"], {"checks": ""}, "unknown check ''"),
     ],
-    ids=["misspelt_key", "mode", "fmt", "suite", "fmt_of_subcommand", "not_an_object"],
+    ids=["misspelt_key", "mode", "fmt", "suite", "fmt_of_subcommand", "not_an_object", "empty_checks"],
 )
 def test_config_file_checked_as_flags_are(tmp_path, capsys, argv, body, message):
     config_path = tmp_path / "cfg.json"

@@ -3,6 +3,7 @@ and the profile statistic.  n counts non-root vertices throughout."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,9 +101,53 @@ def test_enumerate_means_match_harmonic_numbers():
             assert sum(key) == n
 
 
-def test_enumerate_cap():
-    with pytest.raises(ValueError, match="capped"):
-        enumerate_profiles(10)
+def _enumerated_profiles(n: int, k_max: int | None = None) -> dict[tuple, float]:
+    """Reference: the profile law by brute force over all n! attachment
+    sequences, each sequence id decoded by mixed radix into parent choices."""
+    k = n if k_max is None else min(k_max, n)
+    codes = np.arange(math.factorial(n), dtype=np.int64)[:, None]
+    m = np.arange(1, n + 1)
+    levels = _levels(codes // np.concatenate(([1], np.cumprod(m[:-1]))) % m)
+    return profile_pmf_from_samples(np.stack([(levels == j).sum(axis=1) for j in range(1, k + 1)], axis=1))
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3, None])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chain_is_bit_identical_to_brute_force(n, k_max):
+    got, want = enumerate_profiles(n, k_max), _enumerated_profiles(n, k_max)
+    assert list(got) == list(want)  # the same keys, in ascending order
+    assert all(got[key] == want[key] for key in want)
+
+
+@pytest.mark.parametrize("k_max", [2, 3])
+@pytest.mark.parametrize("n", [12, 30])
+def test_chain_means_follow_the_mean_recurrence(n, k_max):
+    # E X_n(k) = sum_{m=1}^{n} E X_{m-1}(k-1)/m with X(0) = 1, since vertex m joins level k
+    # with probability X_{m-1}(k-1)/m; the sum runs one m at a time, in exact rationals
+    mean = [Fraction(1)] + [Fraction(0)] * k_max
+    for m in range(1, n + 1):
+        mean = [mean[0]] + [mean[k] + mean[k - 1] / m for k in range(1, k_max + 1)]
+    pmf = enumerate_profiles(n, k_max)
+    assert math.fsum(pmf.values()) == pytest.approx(1.0, rel=1e-15)
+    for k in range(1, k_max + 1):
+        got = math.fsum(key[k - 1] * p for key, p in pmf.items())
+        assert got == pytest.approx(float(mean[k]), rel=1e-13)
+
+
+def test_enumerate_accepts_chains_up_to_the_state_limit():
+    # C(117, 3) + C(116, 1) = 260246 states, the largest n at K = 2
+    assert math.fsum(enumerate_profiles(116, 2).values()) == pytest.approx(1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "n, k_max", [(19, None), (724, 1), (117, 2), (51, 3), (10**9, 2), (10**9, None), (10**6, 5 * 10**5)]
+)
+def test_enumerate_refuses_chains_over_the_state_limit(n, k_max):
+    # C(n+1, K+1) + sum_{j<K} C(n, j) states in all: each case is one n past the limit or far past it,
+    # and is refused before any step runs
+    k = n if k_max is None else k_max
+    with pytest.raises(ValueError, match=f"profile chain at n = {n}, K = {k} walks more than 262144 states"):
+        enumerate_profiles(n, k_max)
 
 
 def test_every_grower_needs_a_level():
