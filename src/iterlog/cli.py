@@ -28,6 +28,10 @@ _G17 = "{:.17g}".format
 #: Values of the fields whose flags take one of a fixed set.
 _CHOICES = {"fmt": ("csv", "json", "text", "svg"), "mode": ("yule", "discrete"), "suite": ("fast", "full")}
 
+#: Options a subcommand's option makes it ignore: given together (by flag or
+#: config file) they are refused; given alone, the ignored ones resolve to None.
+_OVERRIDES = {("verify", "checks"): ("suite",), ("rrt", "enumerate_n"): ("n", "mode", "replicas", "seed")}
+
 #: Formats a subcommand writes, its default first (simulate and rrt: see ``_formats``).
 _FORMATS = {"moments": ("json",), "renewal": ("csv", "json"), "mc": ("csv", "json"),
             "gauss": ("csv", "json"), "verify": ("text", "json")}
@@ -81,16 +85,27 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     for name, value in file_cfg.items():
         if name not in vars(cfg):
             raise ValueError(f"unknown config key {name!r}")
-        if name in _CHOICES and value not in _CHOICES[name]:
+        if name in _CHOICES and value is not None and value not in _CHOICES[name]:
             raise ValueError(f"config {name} must be one of {', '.join(_CHOICES[name])}, got {value!r}")
+    given = set()  # set by a flag or by a non-null config value
     for name in vars(cfg):
         if name == "subcommand":
             continue
-        cli_val = getattr(args, name, None)
-        if cli_val is not None:
-            setattr(cfg, name, cli_val)
-        elif name in file_cfg:
-            setattr(cfg, name, file_cfg[name])
+        value = getattr(args, name, None)
+        if value is None:
+            value = file_cfg.get(name)
+        if value is not None:
+            setattr(cfg, name, value)
+            given.add(name)
+    for (command, name), ignored in _OVERRIDES.items():
+        if command != cfg.subcommand or name not in given:
+            continue
+        clash = [f"--{o}" for o in ignored if o in given]
+        if clash:
+            flag = "--enumerate" if name == "enumerate_n" else f"--{name}"
+            raise ValueError(f"{flag} ignores {', '.join(clash)}; give one or the other")
+        for o in ignored:  # so a dumped config reloads without the clash
+            setattr(cfg, o, None)
     formats = _formats(cfg)
     if cfg.fmt is None:
         cfg.fmt = formats[0]

@@ -5,10 +5,23 @@ is one of the parametric families (exponential, gamma, shifted uniform).
 Both expose exact closed-form moments and reproducible sampling through
 counter-based streams, and one dispatcher maps blocks of replicas over a
 process pool.
+
+Heap policy: at import, ``mallopt(M_TOP_PAD, HEAP_TOP_PAD)`` asks glibc to
+keep 16 MiB of freed heap mapped above its top.  glibc otherwise hands the
+free top back to the OS once its trim threshold (about 1 MiB here) is free,
+and every simulator block allocates and frees a few MiB of arrays, so each
+block faulted its pages back in: a serial 8000-replica exponential ensemble
+(t = 100, K = 3) took 355k minor page faults, and 1.2k with the pad.  Forked
+pool workers inherit the setting.  The pad also stops glibc from raising its
+mmap threshold, so an array that fits neither the padded top nor a free
+chunk (here one of 16 MiB or more) is mapped afresh each time.  Where the C
+library has no ``mallopt`` (musl, macOS, Windows) this does nothing; no draw
+or result depends on it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -217,6 +230,23 @@ STREAM_BLOCK = 1 << 32
 #: Draws a simulator holds at once, so its arrays stay near 512 KiB: the
 #: target of a branching block, the chunk of a tree or Gaussian block.
 BLOCK_DRAWS = 1 << 16
+
+#: Freed bytes glibc keeps mapped above its heap top, 16 MiB: enough that no
+#: simulator block gives its arrays' pages back to the OS between blocks.
+HEAP_TOP_PAD = 256 * BLOCK_DRAWS
+
+
+def _pad_heap_top() -> None:
+    """Ask the C library to keep HEAP_TOP_PAD freed bytes mapped; a no-op off
+    glibc.  ``CDLL(None)`` is the running process, so no library is looked up."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no process handle (Windows)
+        return
+    mallopt(-2, HEAP_TOP_PAD)  # M_TOP_PAD
+
+
+_pad_heap_top()
 
 
 def row_chunks(rows: int, cells: int) -> list[int]:

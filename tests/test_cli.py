@@ -204,6 +204,36 @@ def test_rrt_enumerate_json(capsys):
     assert pmf["2,1,0"] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "extra, ignored",
+    [
+        (["--n", "50"], "--n"),
+        (["--mode", "discrete"], "--mode"),
+        (["--replicas", "9"], "--replicas"),
+        (["--seed", "4"], "--seed"),
+        (["--n", "50", "--mode", "discrete", "--replicas", "9", "--seed", "4"], "--n, --mode, --replicas, --seed"),
+    ],
+    ids=["n", "mode", "replicas", "seed", "all"],
+)
+def test_rrt_enumerate_refuses_sampling_options(capsys, extra, ignored):
+    assert run(["rrt", "--enumerate", "3", "--K", "2"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--enumerate ignores {ignored};" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["rrt", "--enumerate", "3", "--K", "2"], ["verify", "--checks", "c1"]])
+def test_dump_of_an_overriding_option_reloads(tmp_path, capsys, argv):
+    # the options the dump's run ignored are dumped as null, so reloading it is no clash
+    dump = tmp_path / "cfg.json"
+    assert run(argv + ["--dump-config", str(dump)]) == 0
+    first = _capture(capsys)
+    ignored = ("suite",) if argv[0] == "verify" else ("n", "mode", "replicas", "seed")
+    assert all(json.loads(dump.read_text())[name] is None for name in ignored)
+    assert run([argv[0], "--config", str(dump)]) == 0
+    assert _capture(capsys) == first
+
+
 def test_rrt_enumerate_past_nine_vertices(capsys):
     assert run(["rrt", "--enumerate", "12", "--K", "2"]) == 0
     pmf = json.loads(_capture(capsys))
@@ -380,7 +410,10 @@ def test_usage_errors(capsys):
     assert run(["renewal", "--law", "geom:p=0.5", "--eta", "exp:rate=1", "--N", "5"]) == 2
     assert run(["verify", "--checks", "zzz"]) == 2
     assert run(["verify", "--checks", ""]) == 2  # an empty list names no check; it is not the fast suite
-    assert capsys.readouterr().out == ""
+    assert run(["verify", "--suite", "full", "--checks", "c1"]) == 2  # --checks would drop the suite
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--checks ignores --suite;" in captured.err
 
 
 def test_config_file_round_trip(tmp_path, capsys):
@@ -418,8 +451,16 @@ def test_config_flag_overrides_file(tmp_path, capsys):
         (["mc", "--law", "exp:rate=1", "--t", "5"], {"fmt": "svg"}, "mc writes csv or json, not svg"),
         (["moments", "--law", "exp:rate=1"], [1, 2], "config file must hold a JSON object"),
         (["verify"], {"checks": ""}, "unknown check ''"),
+        (["verify", "--checks", "c1"], {"suite": "full"}, "--checks ignores --suite;"),
+        (["verify", "--suite", "full"], {"checks": "c1"}, "--checks ignores --suite;"),
+        (["verify"], {"suite": "fast", "checks": "c1"}, "--checks ignores --suite;"),
+        (["rrt", "--enumerate", "3"], {"n": 50, "mode": "discrete"}, "--enumerate ignores --n, --mode;"),
+        (["rrt", "--n", "5"], {"enumerate_n": 3}, "--enumerate ignores --n;"),
+        (["rrt"], {"enumerate_n": 3, "replicas": 9, "seed": 4}, "--enumerate ignores --replicas, --seed;"),
     ],
-    ids=["misspelt_key", "mode", "fmt", "suite", "fmt_of_subcommand", "not_an_object", "empty_checks"],
+    ids=["misspelt_key", "mode", "fmt", "suite", "fmt_of_subcommand", "not_an_object", "empty_checks",
+         "suite_with_checks", "checks_with_suite", "both_in_file", "sampling_with_enumerate",
+         "enumerate_with_n", "enumerate_in_file"],
 )
 def test_config_file_checked_as_flags_are(tmp_path, capsys, argv, body, message):
     config_path = tmp_path / "cfg.json"

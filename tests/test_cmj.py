@@ -1,5 +1,7 @@
 """Simulator vs exact tables and closed forms; statistics; decomposition."""
 
+import ctypes
+import hashlib
 import math
 
 import numpy as np
@@ -425,3 +427,44 @@ def test_exponential_means_four_sigma_gate():
     for k in (1, 2, 3):
         se = math.sqrt(summary.variances[k - 1] / config.replicas)
         assert abs(summary.means[k - 1] - t**k / math.factorial(k)) <= 4.0 * se
+
+
+# sha256 of the little-endian int64 counts of 300 replicas at t = 60, K = 3,
+# seed 7: the kernel's draws, pinned so a speed change cannot move them.
+KERNEL_DIGESTS = [
+    (EXP1, None, "4ca96de57cdfd9ac28e6c49625301999d260bdae97250220eaf105c06c70bad8"),
+    (GEOM, None, "ec61b6e8a11728746eb1dd2fa52fce7562130e8e8b06d8d99a07fb80c50f8455"),
+    (GEOM, GEOM, "1863ee9faa1d55e230ad0d9fb5db696f8015ec892c68137cbfd890348c5aaf6b"),
+]
+
+
+@pytest.mark.parametrize("law, eta, digest", KERNEL_DIGESTS, ids=["exp", "geom", "geom_eta"])
+def test_kernel_draws_pinned(law, eta, digest):
+    config = SimConfig(law, levels=3, horizon=60.0, eta=eta, seed=7, replicas=300)
+    counts = monte_carlo(config, workers=1).counts
+    assert counts.dtype == np.int64
+    assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == digest
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):  # no handle on the running process (Windows)
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_blocks_reuse_heap_pages():
+    import resource  # POSIX only; the skip above leaves out Windows
+
+    # dist keeps dist.HEAP_TOP_PAD freed bytes mapped, so once warm a block
+    # reuses the pages the block before it freed; without the pad each of
+    # these blocks faulted about 600 pages back in
+    config = SimConfig(EXP1, levels=3, horizon=60.0, seed=3, replicas=700)
+    blocks = -(-config.replicas // cmj._block_size(config))
+    assert blocks == 20
+    monte_carlo(config, workers=1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    monte_carlo(config, workers=1)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / blocks < 20
