@@ -86,8 +86,10 @@ def _children(
     owners: np.ndarray,
     t: float,
     m: Moments,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Birth times in [0, t] of every child of every parent, with their owners.
+    n: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Birth times in [0, t] of every child of every parent, with their owners
+    and the count of each owner 0..n-1.
 
     A parent born at s starts the walk s + S_n; its children are born at
     s + S_n, or at s + S_{n-1} + eta_n when eta is given, and inherit the
@@ -97,7 +99,7 @@ def _children(
     one round), and one flat cumsum rebased per walk places the whole
     round.  Walks still at or below t start another round.
     """
-    births, labels = [], []
+    births, labels, count = [], [], np.zeros(n)
     while parents.size:
         steps = (t - parents) / m.mean
         sizes = (steps + (2.0 * m.sigma / m.mean) * np.sqrt(steps)).astype(np.int64) + 2
@@ -112,14 +114,16 @@ def _children(
             prev[ends - sizes] = parents
             born = prev + eta.sample(rng, pos.size)
         inside = born <= t
+        per_walk = np.add.reduceat(inside, ends - sizes)
         births.append(born[inside])
-        labels.append(np.repeat(owners, sizes)[inside])
+        labels.append(np.repeat(owners, per_walk))
+        count += np.bincount(owners, weights=per_walk, minlength=n)
         last = pos[ends - 1]
         live = last <= t
         parents, owners = last[live], owners[live]
     if not births:
-        return np.empty(0), np.empty(0, dtype=np.int64)
-    return np.concatenate(births), np.concatenate(labels)
+        return np.empty(0), np.empty(0, dtype=np.int64), count
+    return np.concatenate(births), np.concatenate(labels), count
 
 
 def _poisson_last(config: SimConfig) -> bool:
@@ -181,8 +185,8 @@ def _simulate_block(
     if units is not None:
         q, p = units
         d = law.span / q
-        law = LatticeLaw(float(q), law.pmf)
-        eta = None if eta is None else LatticeLaw(float(p), eta.pmf)
+        law = law.with_span(float(q))
+        eta = None if eta is None else eta.with_span(float(p))
         t = float(lattice_site(t / d))
         grid = None if grid is None else lattice_site(grid / d)
     m = law.moments()
@@ -191,10 +195,9 @@ def _simulate_block(
     paths = None if grid is None else np.zeros((n, config.levels, grid.size), dtype=np.int64)
     gen, owners = np.zeros(n), np.arange(n)
     for k in range(config.levels - poisson_last):
-        gen, owners = _children(rng, law, eta, gen, owners, t, m)
+        gen, owners, counts[:, k] = _children(rng, law, eta, gen, owners, t, m, n)
         if k == 0:
             gen1 = gen * d, owners
-        counts[:, k] = np.bincount(owners, minlength=n)
         if paths is not None:
             # cell j of a replica holds its births in (grid[j-1], grid[j]]
             cells = owners * (grid.size + 1) + np.searchsorted(grid, gen)

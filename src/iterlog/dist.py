@@ -6,6 +6,10 @@ Both expose exact closed-form moments and reproducible sampling through
 counter-based streams, and one dispatcher maps blocks of replicas over a
 process pool.
 
+Lattice draws read the inverse cdf through a guide table (Chen & Asau,
+1974), which picks the site a binary search of the cdf picks for every
+uniform (``LatticeLaw.sample``).
+
 Heap policy: at import, ``mallopt(M_TOP_PAD, HEAP_TOP_PAD)`` asks glibc to
 keep 16 MiB of freed heap mapped above its top.  glibc otherwise hands the
 free top back to the OS once its trim threshold (about 1 MiB here) is free,
@@ -21,6 +25,7 @@ or result depends on it.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import math
 import os
@@ -77,6 +82,7 @@ class LatticeLaw:
     #: All lattice sites {d, 2d, ..., Md}, including zero-mass ones.
     support: np.ndarray = field(init=False, repr=False)
     _cdf: np.ndarray = field(init=False, repr=False)
+    _guide: np.ndarray = field(init=False, repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, LatticeLaw):
@@ -100,9 +106,25 @@ class LatticeLaw:
             raise ValueError("empty law")
         if not lattice_span_check(support):
             raise ValueError("span is not maximal: support indices share a common factor")
-        # sampling tables, built once: every site and the cdf that indexes it
+        # sampling tables, built once: every site, the cdf that indexes it and
+        # its guide; the cdf ends at inf, so a uniform past the mass of a pmf
+        # truncated just below 1 still draws the last site
         object.__setattr__(self, "support", self.span * np.arange(1, pmf.size + 1, dtype=np.float64))
-        object.__setattr__(self, "_cdf", np.cumsum(pmf))
+        cdf = np.cumsum(pmf)
+        cdf[-1] = np.inf
+        buckets = min(1 << 16, max(256, 1 << (4 * pmf.size - 1).bit_length()))  # about 4 a site
+        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_guide", np.searchsorted(cdf, np.arange(buckets) / buckets, side="right"))
+
+    def with_span(self, span: float) -> "LatticeLaw":
+        """This pmf on the lattice of ``span``, keeping the checked pmf and its
+        sampling tables, which do not depend on the span."""
+        if span <= 0:
+            raise ValueError("span must be positive")
+        law = copy.copy(self)
+        object.__setattr__(law, "span", span)
+        object.__setattr__(law, "support", span * np.arange(1, self.pmf.size + 1, dtype=np.float64))
+        return law
 
     def moments(self) -> Moments:
         m = np.arange(1, self.pmf.size + 1, dtype=np.float64)
@@ -111,13 +133,22 @@ class LatticeLaw:
         return Moments(mean, second)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n sites by the inverse cdf of n uniforms: site
+        ``min(searchsorted(cdf, u, "right"), M - 1)`` for each u.
+
+        Bucket b of the G-bucket guide table (G a power of two) holds
+        ``searchsorted(cdf, b/G, "right")``.  Both b/G and u*G are exact in
+        binary, and u in bucket floor(u*G) lies at or above b/G, so that
+        index is at most the binary search's, and equals it unless the cdf
+        entry it points at is still <= u.  Only those uniforms (3% of them
+        for ``geom:p=0.5``) take the binary search (Devroye, Non-Uniform
+        Random Variate Generation, 1986, III.2.4)."""
         if n < 0:
             raise ValueError("sample size must be nonnegative")
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        idx = np.searchsorted(self._cdf, rng.random(n), side="right")
-        # A pmf truncated just below mass 1 can push a uniform past _cdf[-1].
-        np.clip(idx, 0, self.pmf.size - 1, out=idx)
+        u = rng.random(n)
+        idx = self._guide[(u * self._guide.size).astype(np.intp)]
+        short = self._cdf[idx] <= u
+        idx[short] = np.searchsorted(self._cdf, u[short], side="right")
         return self.support[idx]
 
 
@@ -200,8 +231,8 @@ class RngStream:
 
     Identical (seed, index) pairs reproduce the same sample sequence under
     any parallel schedule, so one stream per replica gives bitwise
-    reproducible ensembles.  Substream b starts b * 2**128 draws into the
-    (seed, index) Philox stream: substreams never overlap, and substream 0
+    reproducible ensembles.  Substream b < 2**128 starts b * 2**128 draws into
+    the (seed, index) Philox stream: substreams never overlap, and substream 0
     is the stream itself.  Streams are single-owner: the generator is
     cached and stateful across calls.
     """
@@ -212,14 +243,14 @@ class RngStream:
     _generator: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.index < 0 or self.substream < 0:
-            raise ValueError("stream index and substream must be nonnegative")
+        if self.index < 0 or not 0 <= self.substream < 1 << 128:
+            raise ValueError("stream index must be nonnegative and substream in [0, 2**128)")
 
     def generator(self) -> np.random.Generator:
         if self._generator is None:
             ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.index,))
-            bits = np.random.Philox(ss)
-            self._generator = np.random.Generator(bits.jumped(self.substream) if self.substream else bits)
+            # counter b * 2**128 is the state bits.jumped(b) reaches, without its throwaway generator
+            self._generator = np.random.Generator(np.random.Philox(ss, counter=self.substream << 128))
         return self._generator
 
 

@@ -67,17 +67,21 @@ class ProfileTrace:
 
 def _levels(parents: np.ndarray) -> np.ndarray:
     """Levels (rows, n+1), root in column 0, where vertex m of a row attaches to
-    ``int(parents[:, m-1])``, by pointer doubling: about log2(depth) rounds."""
+    ``int(parents[:, m-1])``, by pointer doubling: about log2(depth) rounds of
+    two 1-D gathers on flat indices, until every pointer reaches a root (the
+    only vertex whose level step is 0)."""
     rows, n = parents.shape
-    anc = np.zeros((rows, n + 1), dtype=np.int32)
+    anc = np.zeros((rows, n + 1), dtype=np.intp)
     anc[:, 1:] = parents
     del parents  # callers pass a temporary: free it before the rounds
-    lv = np.ones_like(anc)
-    lv[:, 0] = 0
-    while anc.any():
-        lv += np.take_along_axis(lv, anc, axis=1)
-        anc = np.take_along_axis(anc, anc, axis=1)
-    return lv
+    anc += np.arange(0, rows * (n + 1), n + 1)[:, None]
+    anc = anc.ravel()
+    lv = np.ones(anc.size, dtype=np.int32)
+    lv[:: n + 1] = 0
+    while (step := lv[anc]).any():
+        lv += step
+        anc = anc[anc]
+    return lv.reshape(rows, n + 1)
 
 
 def _check_block(n: int, rows: int, k_max: int = 1) -> None:

@@ -395,9 +395,9 @@ def test_block_paths_recount_each_replica(monkeypatch):
     for r in range(n):
         times = np.sort(births1[owners1 == r])
         assert np.array_equal(paths[r, 0], np.searchsorted(times, config.grid, side="right"))
-        for k, (births, owners) in enumerate(drawn):
+        for k, (births, owners, count) in enumerate(drawn):
             mine = np.sort(births[owners == r])
-            assert mine.size == counts[r, k]
+            assert mine.size == counts[r, k] == count[r]
             assert np.array_equal(paths[r, k], np.searchsorted(mine, config.grid, side="right"))
     assert np.array_equal(paths[:, :, -1], counts)
 

@@ -167,6 +167,111 @@ def test_lattice_sample_matches_tables_built_from_scratch(law):
     assert np.array_equal(np.concatenate([first, second]), both)
 
 
+class _Uniforms:
+    """Stands in for a generator: ``random(n)`` hands out the next n of a fixed
+    list of uniforms, so a sampler can be fed chosen values."""
+
+    def __init__(self, u):
+        self.u, self.at = np.asarray(u, dtype=np.float64), 0
+
+    def random(self, n):
+        self.at += n
+        return self.u[self.at - n : self.at]
+
+
+def _inverse_cdf(law, u):
+    """Sites by the plain inverse cdf: a binary search of the fresh cumsum."""
+    idx = np.clip(np.searchsorted(np.cumsum(law.pmf), u, side="right"), 0, law.pmf.size - 1)
+    return law.support[idx]
+
+
+def _edge_uniforms(law):
+    """Every cdf value, the double below each, every guide bucket edge b/G and
+    the double below it, and the doubles next to 1, all inside [0, 1)."""
+    edges = np.arange(law._guide.size) / law._guide.size
+    u = np.concatenate([np.cumsum(law.pmf), edges, [1.0, 1.0 - 5e-14]])
+    u = np.unique(np.concatenate([u, np.nextafter(u, 0.0)]))
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+SAMPLER_LAWS = [
+    parse_law("geom:p=0.5"),
+    parse_law("geom:p=0.001"),
+    LatticeLaw(1.0, np.array([1.0])),
+    LatticeLaw(0.5, np.array([0.25, 0.5, 0.25])),
+    parse_law("lattice:d=1;p=0.3,0.7"),
+    LatticeLaw(1.0, np.array([0.5, 0.5 - 1e-13])),  # mass 1 - 1e-13: u can pass the cdf's end
+]
+
+
+@pytest.mark.parametrize("law", SAMPLER_LAWS, ids=["geom", "geom_wide", "point", "dyadic", "two", "short"])
+@pytest.mark.parametrize("n", [0, 1, 64, 65536])
+def test_guided_sample_is_the_inverse_cdf(law, n):
+    # the guide table gives the index of the binary search for every uniform,
+    # also on the cdf values, just below them and on the bucket edges, drawn
+    # in batches of n
+    u = np.concatenate([_edge_uniforms(law), RngStream(n, 5).generator().random(n)])
+    if n == 1:
+        u = u[:: -(-u.size // 4096)]  # one call a uniform: a spread of 4096 at most
+    u = u[: u.size - u.size % n] if n else u[:0]
+    rng = _Uniforms(u)
+    draws = [law.sample(rng, n) for _ in range(u.size // n if n else 1)]
+    assert rng.at == u.size and np.array_equal(np.concatenate(draws), _inverse_cdf(law, u))
+
+
+@pytest.mark.parametrize("law", SAMPLER_LAWS[:2] + [LatticeLaw(0.3, np.array([0.2, 0.0, 0.5, 0.3]))])
+def test_with_span_is_the_law_built_on_that_span(law):
+    moved, fresh = law.with_span(3.0), LatticeLaw(3.0, law.pmf)
+    assert moved == fresh and np.array_equal(moved.support, fresh.support) and law.span != 3.0
+    assert np.array_equal(moved.sample(RngStream(2, 0).generator(), 5000), fresh.sample(RngStream(2, 0).generator(), 5000))
+    with pytest.raises(ValueError, match="span"):
+        law.with_span(0.0)
+
+
+def test_guide_table_size():
+    assert [law._guide.size for law in SAMPLER_LAWS] == [256, 1 << 16, 256, 256, 256, 256]
+    assert parse_law("geom:p=0.01")._guide.size == 16384  # 3437 sites: 4 * 3437 rounded up
+    short = SAMPLER_LAWS[-1]
+    past = np.array([np.nextafter(1.0, 0.0), 1.0 - 5e-14])
+    assert np.array_equal(short.sample(_Uniforms(past), 2), [2.0, 2.0])
+
+
+@st.composite
+def random_pmfs(draw):
+    size = draw(st.integers(min_value=1, max_value=300))
+    weights = draw(st.lists(st.sampled_from([0.0, 1e-9, 0.1, 0.5, 1.0, 3.0]), min_size=size, max_size=size))
+    pmf = np.array(weights)
+    pmf[0] = draw(st.floats(0.01, 1.0))  # mass at index 1 keeps the span maximal
+    return LatticeLaw(1.0, pmf / math.fsum(pmf.tolist()))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(random_pmfs(), st.integers(min_value=0, max_value=2**32))
+def test_guided_sample_is_the_inverse_cdf_property(law, seed):
+    u = np.concatenate([_edge_uniforms(law), RngStream(seed, 0).generator().random(200)])
+    assert np.array_equal(law.sample(_Uniforms(u), u.size), _inverse_cdf(law, u))
+
+
+def _state(stream):
+    return repr(stream.generator().bit_generator.state)
+
+
+@pytest.mark.parametrize("b", [1, 2, 1666, 2**64 + 3])
+def test_substream_is_the_jumped_stream(b):
+    # the counter is set to b * 2**128 directly: the state Philox.jumped(b) reaches
+    bits = np.random.Philox(np.random.SeedSequence(entropy=42, spawn_key=(7,)))
+    assert _state(RngStream(42, 7, b)) == repr(bits.jumped(b).state)
+    assert _state(RngStream(42, 7, 0)) == repr(bits.state)
+
+
+def test_substream_range():
+    # jumped(2**128) wraps to substream 0; the last substream opens, the next is refused
+    last = RngStream(1, 0, 2**128 - 1).generator().bit_generator.state["state"]["counter"]
+    assert last.tolist() == [0, 0, 2**64 - 1, 2**64 - 1]
+    with pytest.raises(ValueError, match="substream"):
+        RngStream(1, 0, 2**128)
+
+
 @st.composite
 def lattice_laws(draw):
     size = draw(st.integers(min_value=1, max_value=6))

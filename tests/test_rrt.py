@@ -1,6 +1,7 @@
 """Tree growers vs exact enumeration, the Bernoulli-sum representation,
 and the profile statistic.  n counts non-root vertices throughout."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -20,6 +21,7 @@ from iterlog.rrt import (
     grow_discrete,
     grow_yule,
     profile_pmf_from_samples,
+    profile_rows,
     rrt_lil_statistic,
     sample_profiles,
     total_variation,
@@ -327,6 +329,18 @@ def test_grower_conservation_property(n, seed):
 
 
 # 50 uniforms a tree: 1310 trees a chunk, so 4000 trees fill three chunks and a ragged fourth
+# sha256 of the little-endian int64 profiles: 5000 trees of 50 vertices in
+# chunks of 1310, and one chunk of 10000 trees of 6 vertices with K = 3
+@pytest.mark.parametrize("rows, digest", [
+    (lambda: sample_profiles(50, 1, RngStream(7, 3), 5000),
+     "d596578cc29d1fd297f9da21ea35f9fbce6df01e43abd4701c9e2eba8c20b829"),
+    (lambda: profile_rows(RngStream(7, 3).generator(), 10000, 6, 3),
+     "8f83d1879539c60289913bfdce1cd4500f725e921cc16f65454722e5cd0c7d27"),
+], ids=["sample_profiles", "profile_rows"])
+def test_profile_draws_pinned(rows, digest):
+    assert hashlib.sha256(rows().astype("<i8").tobytes()).hexdigest() == digest
+
+
 CHUNKED_N, CHUNKED_REPS = 50, 4000
 
 
