@@ -26,11 +26,11 @@ from .plot import Series, emit_plot
 _G17 = "{:.17g}".format
 
 #: Values of the fields whose flags take one of a fixed set.
-_CHOICES = {"fmt": ("csv", "json", "text", "svg"), "mode": ("yule", "discrete"), "suite": ("fast", "full")}
+_CHOICES = {"fmt": ("csv", "json", "text", "svg"), "suite": ("fast", "full")}
 
 #: Options a subcommand's option makes it ignore: given together (by flag or
 #: config file) they are refused; given alone, the ignored ones resolve to None.
-_OVERRIDES = {("verify", "checks"): ("suite",), ("rrt", "enumerate_n"): ("n", "mode", "replicas", "seed")}
+_OVERRIDES = {("verify", "checks"): ("suite",), ("rrt", "enumerate_n"): ("n", "replicas", "seed")}
 
 #: Formats a subcommand writes, its default first (simulate and rrt: see ``_formats``).
 _FORMATS = {"moments": ("json",), "renewal": ("csv", "json"), "mc": ("csv", "json"),
@@ -57,7 +57,6 @@ class ExperimentConfig:
     suite: str = "fast"
     checks: str | None = None
     plot: str | None = None
-    mode: str = "yule"
     enumerate_n: int | None = None
 
     def to_dict(self) -> dict:
@@ -253,15 +252,10 @@ def _cmd_rrt(cfg: ExperimentConfig) -> int:
         raise ValueError("need replicas >= 1")
     n = cfg.n
     lines = ["n,k,X,statistic"]
-    for r in range(cfg.replicas):
-        stream = RngStream(cfg.seed, r)
-        trace = (rrt.grow_yule if cfg.mode == "yule" else rrt.grow_discrete)(n, cfg.levels, stream)
-        counts = trace.counts(cfg.levels)
-        for k in range(1, cfg.levels + 1):
-            stat = ""
-            if n > rrt.MIN_STAT_N:
-                stat = _G17(rrt.rrt_lil_statistic(float(counts[k - 1]), n, k))
-            lines.append(f"{n},{k},{int(counts[k - 1])},{stat}")
+    for counts in rrt.sample_profiles(n, cfg.levels, RngStream(cfg.seed, 0), cfg.replicas):
+        for k, x in enumerate(counts.tolist(), 1):
+            stat = _G17(rrt.rrt_lil_statistic(float(x), n, k)) if n > rrt.MIN_STAT_N else ""
+            lines.append(f"{n},{k},{x},{stat}")
     _emit("\n".join(lines) + "\n", cfg.out)
     return 0
 
@@ -389,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--K", dest="levels", type=int)
     p.add_argument("--replicas", type=int)
-    p.add_argument("--mode", choices=_CHOICES["mode"])
     p.add_argument("--enumerate", dest="enumerate_n", type=int, help="exact pmf by enumeration")
 
     p = add("gauss", help="weighted Brownian sums and variance identities")

@@ -138,6 +138,9 @@ def _poisson_last(config: SimConfig) -> bool:
 #: Most replicas in one block.
 MAX_BLOCK = 64
 
+#: Levels of the CLT-statistic quantiles in a summary.
+CLT_QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
+
 
 def _block_size(config: SimConfig) -> int:
     """Replicas per block: BLOCK_DRAWS over the expected walked births of a
@@ -292,13 +295,13 @@ class MonteCarloSummary:
     lil: np.ndarray | None  # (R, K), None when horizon <= e or sigma = 0
     centers: np.ndarray  # (K,) leading terms t^k / (k! mu^k)
 
-    def quantiles(self, qs=(0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)) -> dict:
+    def quantiles(self) -> dict:
         if self.clt is None:
             return {}
         out = {}
         for k in range(1, self.config.levels + 1):
-            vals = np.quantile(self.clt[:, k - 1], qs)
-            out[k] = {f"{q:g}": float(v) for q, v in zip(qs, vals)}
+            vals = np.quantile(self.clt[:, k - 1], CLT_QUANTILES)
+            out[k] = {f"{q:g}": float(v) for q, v in zip(CLT_QUANTILES, vals)}
         return out
 
     def to_dict(self) -> dict:

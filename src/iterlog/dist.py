@@ -107,11 +107,11 @@ class LatticeLaw:
         if not lattice_span_check(support):
             raise ValueError("span is not maximal: support indices share a common factor")
         # sampling tables, built once: every site, the cdf that indexes it and
-        # its guide; the cdf ends at inf, so a uniform past the mass of a pmf
-        # truncated just below 1 still draws the last site
+        # its guide; the cdf is inf from the last site with mass on, so a
+        # uniform past a pmf truncated just below 1 draws that site
         object.__setattr__(self, "support", self.span * np.arange(1, pmf.size + 1, dtype=np.float64))
         cdf = np.cumsum(pmf)
-        cdf[-1] = np.inf
+        cdf[support[-1] - 1 :] = np.inf
         buckets = min(1 << 16, max(256, 1 << (4 * pmf.size - 1).bit_length()))  # about 4 a site
         object.__setattr__(self, "_cdf", cdf)
         object.__setattr__(self, "_guide", np.searchsorted(cdf, np.arange(buckets) / buckets, side="right"))
@@ -134,7 +134,7 @@ class LatticeLaw:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n sites by the inverse cdf of n uniforms: site
-        ``min(searchsorted(cdf, u, "right"), M - 1)`` for each u.
+        ``min(searchsorted(cdf, u, "right"), L - 1)`` for each u, L the last site with mass.
 
         Bucket b of the G-bucket guide table (G a power of two) holds
         ``searchsorted(cdf, b/G, "right")``.  Both b/G and u*G are exact in

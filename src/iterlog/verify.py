@@ -34,6 +34,9 @@ _BLOCKS = {
 #: Sub-stream spacing inside a check's block.
 _SUB = 1 << 20
 
+#: Fewest pooled counts in a cell of the two-sample chi-square table.
+MIN_POOLED = 25
+
 
 def _offset(check: str, sub: int = 0) -> int:
     return _BLOCKS[check] * STREAM_BLOCK + sub * _SUB
@@ -296,7 +299,7 @@ def check_rrt(seed: int) -> list[CheckResult]:
     return out
 
 
-def _chi2_two_sample(x: np.ndarray, y: np.ndarray, min_pooled: int = 25) -> float:
+def _chi2_two_sample(x: np.ndarray, y: np.ndarray) -> float:
     lo = int(min(x.min(), y.min()))
     hi = int(max(x.max(), y.max()))
     edges = np.arange(lo, hi + 2)
@@ -307,12 +310,12 @@ def _chi2_two_sample(x: np.ndarray, y: np.ndarray, min_pooled: int = 25) -> floa
     for i in range(cx.size):
         ax += int(cx[i])
         ay += int(cy[i])
-        if ax + ay >= min_pooled:
+        if ax + ay >= MIN_POOLED:
             mx.append(ax)
             my.append(ay)
             ax = ay = 0
     if not mx:
-        raise ValueError(f"pooled count {ax + ay} never reaches min_pooled={min_pooled}")
+        raise ValueError(f"pooled count {ax + ay} never reaches min_pooled={MIN_POOLED}")
     if ax + ay:
         mx[-1] += ax
         my[-1] += ay
@@ -335,8 +338,7 @@ def check_gauss(seed: int) -> list[CheckResult]:
 
     # (b) exponential steps have zero remainder weight, so B2 vanishes
     fk = gauss.FkTable(2, renewal.ExponentialRenewal())
-    path = gauss.sample_bm(10.0, 0.01, RngStream(seed, _offset("c8a", 1)))
-    b2 = gauss.b2k(path, fk, 10.0)
+    b2 = float(gauss.b2k_ensemble(fk, 10.0, 0.01, 1, RngStream(seed, _offset("c8a", 1)))[0])
     out.append(
         CheckResult("c8_b2_exponential_zero", b2 == 0.0, b2, 0.0, "exact", "closed form")
     )

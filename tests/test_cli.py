@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, reproducibility, config round-trip."""
 
+import hashlib
 import json
 import math
 import os
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 import iterlog
-from iterlog import verify
+from iterlog import rrt, verify
 from iterlog.cli import ExperimentConfig, _resolve, build_parser, run
+from iterlog.dist import RngStream
 from iterlog.plot import Series, emit_plot
 
 
@@ -208,12 +210,11 @@ def test_rrt_enumerate_json(capsys):
     "extra, ignored",
     [
         (["--n", "50"], "--n"),
-        (["--mode", "discrete"], "--mode"),
         (["--replicas", "9"], "--replicas"),
         (["--seed", "4"], "--seed"),
-        (["--n", "50", "--mode", "discrete", "--replicas", "9", "--seed", "4"], "--n, --mode, --replicas, --seed"),
+        (["--n", "50", "--replicas", "9", "--seed", "4"], "--n, --replicas, --seed"),
     ],
-    ids=["n", "mode", "replicas", "seed", "all"],
+    ids=["n", "replicas", "seed", "all"],
 )
 def test_rrt_enumerate_refuses_sampling_options(capsys, extra, ignored):
     assert run(["rrt", "--enumerate", "3", "--K", "2"] + extra) == 2
@@ -228,7 +229,7 @@ def test_dump_of_an_overriding_option_reloads(tmp_path, capsys, argv):
     dump = tmp_path / "cfg.json"
     assert run(argv + ["--dump-config", str(dump)]) == 0
     first = _capture(capsys)
-    ignored = ("suite",) if argv[0] == "verify" else ("n", "mode", "replicas", "seed")
+    ignored = ("suite",) if argv[0] == "verify" else ("n", "replicas", "seed")
     assert all(json.loads(dump.read_text())[name] is None for name in ignored)
     assert run([argv[0], "--config", str(dump)]) == 0
     assert _capture(capsys) == first
@@ -274,7 +275,7 @@ def test_moments_needs_a_level(capsys):
     assert json.loads(_capture(capsys))["a"] == [1.0]
 
 
-def test_rrt_csv(tmp_path):
+def test_rrt_csv(tmp_path, capsys):
     path = tmp_path / "rrt.csv"
     code = run(["rrt", "--n", "30", "--K", "2", "--replicas", "5", "--seed", "2",
                 "--out", str(path)])
@@ -285,6 +286,12 @@ def test_rrt_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "30"
     assert first[3] != ""  # statistic defined for n = 30 > e^e
+    # the trees are those of the block sampler on stream (seed, 0), a row each
+    rows = [[int(line.split(",")[2]) for line in lines[1 + 2 * r : 3 + 2 * r]] for r in range(5)]
+    assert rows == rrt.sample_profiles(30, 2, RngStream(2, 0), 5).tolist()
+    assert run(["rrt", "--n", "100", "--K", "3", "--replicas", "50", "--seed", "1"]) == 0
+    digest = "a53bcd74d185e7cfd4e023c766cb82a28ae61cdfba9b9c2e90c1ed3ccfc9be37"
+    assert hashlib.sha256(_capture(capsys).encode()).hexdigest() == digest
 
 
 def test_gauss_json(capsys):
@@ -445,7 +452,7 @@ def test_config_flag_overrides_file(tmp_path, capsys):
     "argv, body, message",
     [
         (["rrt", "--n", "5"], {"replicass": 5}, "unknown config key 'replicass'"),
-        (["rrt", "--n", "5"], {"mode": "yulee"}, "config mode must be one of yule, discrete, got 'yulee'"),
+        (["rrt", "--n", "5"], {"mode": "discrete"}, "unknown config key 'mode'"),
         (["rrt", "--n", "5"], {"fmt": "yaml"}, "config fmt must be one of"),
         (["verify", "--checks", "c1"], {"suite": "slow"}, "config suite must be one of fast, full"),
         (["mc", "--law", "exp:rate=1", "--t", "5"], {"fmt": "svg"}, "mc writes csv or json, not svg"),
@@ -454,7 +461,7 @@ def test_config_flag_overrides_file(tmp_path, capsys):
         (["verify", "--checks", "c1"], {"suite": "full"}, "--checks ignores --suite;"),
         (["verify", "--suite", "full"], {"checks": "c1"}, "--checks ignores --suite;"),
         (["verify"], {"suite": "fast", "checks": "c1"}, "--checks ignores --suite;"),
-        (["rrt", "--enumerate", "3"], {"n": 50, "mode": "discrete"}, "--enumerate ignores --n, --mode;"),
+        (["rrt", "--enumerate", "3"], {"n": 50, "replicas": 9}, "--enumerate ignores --n, --replicas;"),
         (["rrt", "--n", "5"], {"enumerate_n": 3}, "--enumerate ignores --n;"),
         (["rrt"], {"enumerate_n": 3, "replicas": 9, "seed": 4}, "--enumerate ignores --replicas, --seed;"),
     ],
@@ -469,17 +476,6 @@ def test_config_file_checked_as_flags_are(tmp_path, capsys, argv, body, message)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
-
-
-def test_config_mode_matches_flag(tmp_path, capsys):
-    config_path = tmp_path / "cfg.json"
-    config_path.write_text(json.dumps({"mode": "discrete", "replicas": 3}))
-    assert run(["rrt", "--n", "20", "--seed", "4", "--config", str(config_path)]) == 0
-    from_file = _capture(capsys)
-    assert run(["rrt", "--n", "20", "--seed", "4", "--replicas", "3", "--mode", "discrete"]) == 0
-    assert from_file == _capture(capsys)
-    assert run(["rrt", "--n", "20", "--seed", "4", "--replicas", "3"]) == 0
-    assert from_file != _capture(capsys)  # the yule default grows other trees
 
 
 @pytest.mark.parametrize(

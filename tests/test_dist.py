@@ -180,8 +180,9 @@ class _Uniforms:
 
 
 def _inverse_cdf(law, u):
-    """Sites by the plain inverse cdf: a binary search of the fresh cumsum."""
-    idx = np.clip(np.searchsorted(np.cumsum(law.pmf), u, side="right"), 0, law.pmf.size - 1)
+    """Sites by the plain inverse cdf: a binary search of the fresh cumsum, a
+    uniform past its end drawing the last site with mass."""
+    idx = np.clip(np.searchsorted(np.cumsum(law.pmf), u, side="right"), 0, np.flatnonzero(law.pmf)[-1])
     return law.support[idx]
 
 
@@ -234,6 +235,14 @@ def test_guide_table_size():
     short = SAMPLER_LAWS[-1]
     past = np.array([np.nextafter(1.0, 0.0), 1.0 - 5e-14])
     assert np.array_equal(short.sample(_Uniforms(past), 2), [2.0, 2.0])
+
+
+def test_zero_mass_tail_is_never_drawn():
+    # ten masses of 0.1 sum to 1 - 2^-53, so the largest uniform lies past the
+    # cdf's last finite value; it draws the last site with mass, not site 11
+    law = parse_law("lattice:d=1;p=" + ",".join(["0.1"] * 10 + ["0"]))
+    assert np.cumsum(law.pmf)[9] == np.nextafter(1.0, 0.0)
+    assert np.array_equal(law.sample(_Uniforms([np.nextafter(1.0, 0.0)]), 1), [10.0])
 
 
 @st.composite

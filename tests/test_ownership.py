@@ -1,6 +1,7 @@
 """Each ensemble decision has one owner: only ``dist`` opens substreams (in
-``map_blocks``), and no module of ``iterlog`` reaches into another's
-``_``-prefixed names."""
+``map_blocks``), no module of ``iterlog`` reaches into another's
+``_``-prefixed names, and trees and Brownian sums are drawn by the block
+samplers alone."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,24 @@ def private_reaches(tree: ast.AST) -> list[str]:
     return found
 
 
+#: Single-replica samplers and the module that defines each.
+SINGLE_REPLICA = {"grow_yule": "rrt.py", "grow_discrete": "rrt.py", "sample_bm": "gauss.py", "b2k": "gauss.py"}
+
+
+def single_replica_uses(tree: ast.AST, module: str) -> list[str]:
+    """``SINGLE_REPLICA`` names that a module imports, reads or calls outside
+    the module defining them; ``__init__`` may import them to export them."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and module == "__init__.py":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            found.append(_name(node))
+    return [name for name in found if SINGLE_REPLICA.get(name, module) != module]
+
+
 def _tree(path: Path) -> ast.AST:
     return ast.parse(path.read_text(encoding="utf-8"))
 
@@ -68,3 +87,17 @@ def test_detectors_catch_both_patterns():
     )
     assert substream_openings(bad) == [3, 4]
     assert sorted(private_reaches(bad)) == ["cmj._path_rows", "gauss._weights", "renewal._check_guard"]
+
+
+def test_no_module_draws_through_a_single_replica_sampler():
+    """``iterlog rrt`` draws its trees through ``rrt.sample_profiles`` and check
+    c8b its sum through ``gauss.b2k_ensemble``, so nothing in the package uses
+    the single-replica samplers.  They are still defined and exported only
+    because the benchmark harness (``perfbench/spans.py`` and its tests) traces
+    them; ROADMAP item 6 deletes them once item 1 moves the harness off them."""
+    uses = {p.name: single_replica_uses(_tree(p), p.name) for p in MODULES}
+    assert {name: found for name, found in uses.items() if found} == {}
+    bad = ast.parse("from .rrt import grow_yule\npath = gauss.sample_bm(1.0, 0.1, s)\nb2k(path, fk, 1.0)\n")
+    assert single_replica_uses(bad, "cli.py") == ["grow_yule", "sample_bm", "b2k"]
+    assert single_replica_uses(bad, "__init__.py") == ["sample_bm", "b2k"]
+    assert single_replica_uses(bad, "gauss.py") == ["grow_yule"]
