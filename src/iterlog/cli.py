@@ -168,11 +168,7 @@ def _cmd_renewal(cfg: ExperimentConfig) -> int:
     # json prints only constants, which do not depend on N; a one-site table refuses the same input
     n = min(cfg.n, 0) if cfg.fmt == "json" else cfg.n
     renewal.check_guard(cfg.levels, cfg.n)
-    if eta:
-        chain = renewal.perturbed_table(renewal.renewal_sequence(law, n), law.span, eta, n, law.moments().mean)
-        table = renewal.convolve_levels(chain, cfg.levels)
-    else:
-        table = renewal.renewal_table(law, cfg.levels, n)
+    table = renewal.renewal_table(law, cfg.levels, n, eta)
     if cfg.fmt == "json":
         m = law.moments()
         eta_mean = eta.moments().mean if eta else None

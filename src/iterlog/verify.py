@@ -156,9 +156,7 @@ def check_lattice_second_order(seed: int) -> list[CheckResult]:
     m = law.moments()
     mu = m.mean
     n = 4000
-    u = renewal.renewal_sequence(law, n)
-    table = renewal.perturbed_table(u, law.span, law, n, mu)
-    table = renewal.convolve_levels(table, 2)
+    table = renewal.renewal_table(law, 2, n, law)
 
     grid = np.arange(n + 1, dtype=np.float64)
     resid1 = float(np.max(np.abs(table.level(1) - grid / mu)))

@@ -15,8 +15,9 @@ import pytest
 import iterlog
 from iterlog import rrt, verify
 from iterlog.cli import ExperimentConfig, _resolve, build_parser, run
-from iterlog.dist import RngStream
+from iterlog.dist import LatticeLaw, RngStream
 from iterlog.plot import Series, emit_plot
+from iterlog.renewal import convolve_levels, perturbed_table, renewal_sequence
 
 
 def _capture(capsys):
@@ -43,6 +44,20 @@ def test_renewal_csv_binomials(tmp_path):
         assert float(cells[2]) == math.comb(n, 1)
         assert float(cells[3]) == math.comb(n, 2)
         assert float(cells[4]) == math.comb(n, 3)
+
+
+def test_renewal_eta_csv_matches_stieltjes_chain(tmp_path):
+    path = tmp_path / "v.csv"
+    code = run(["renewal", "--law", "lattice:d=1;p=0.2,0.5,0.3", "--eta", "lattice:d=1;p=0.6,0,0.4",
+                "--K", "3", "--N", "300", "--out", str(path)])
+    assert code == 0
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "n,t,V1,V2,V3"
+    law, eta = LatticeLaw(1.0, np.array([0.2, 0.5, 0.3])), LatticeLaw(1.0, np.array([0.6, 0.0, 0.4]))
+    chain = convolve_levels(perturbed_table(renewal_sequence(law, 300), 1.0, eta, 300, law.moments().mean), 3)
+    got = np.array([[float(x) for x in line.split(",")[2:]] for line in lines[1:]]).T
+    assert got.shape == chain.values.shape
+    assert np.all(np.abs(got - chain.values) <= 1e-12 * chain.values)
 
 
 def test_renewal_constants_json(capsys):

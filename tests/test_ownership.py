@@ -1,7 +1,8 @@
 """Each ensemble decision has one owner: only ``dist`` opens substreams (in
 ``map_blocks``), no module of ``iterlog`` reaches into another's
-``_``-prefixed names, and trees and Brownian sums are drawn by the block
-samplers alone."""
+``_``-prefixed names, and names kept only for the benchmark harness (the
+single-replica samplers and the two-call perturbed table chain) have no
+caller in the package."""
 
 import ast
 from pathlib import Path
@@ -44,12 +45,20 @@ def private_reaches(tree: ast.AST) -> list[str]:
     return found
 
 
-#: Single-replica samplers and the module that defines each.
-SINGLE_REPLICA = {"grow_yule": "rrt.py", "grow_discrete": "rrt.py", "sample_bm": "gauss.py", "b2k": "gauss.py"}
+#: Names kept only for ``perfbench/``, and the module that defines each.
+PERFBENCH_ONLY = {
+    "grow_yule": "rrt.py",
+    "grow_discrete": "rrt.py",
+    "sample_bm": "gauss.py",
+    "b2k": "gauss.py",
+    "renewal_sequence": "renewal.py",
+    "perturbed_table": "renewal.py",
+    "convolve_levels": "renewal.py",
+}
 
 
-def single_replica_uses(tree: ast.AST, module: str) -> list[str]:
-    """``SINGLE_REPLICA`` names that a module imports, reads or calls outside
+def perfbench_only_uses(tree: ast.AST, module: str) -> list[str]:
+    """``PERFBENCH_ONLY`` names that a module imports, reads or calls outside
     the module defining them; ``__init__`` may import them to export them."""
     found = []
     for node in ast.walk(tree):
@@ -59,7 +68,7 @@ def single_replica_uses(tree: ast.AST, module: str) -> list[str]:
             found += [alias.name for alias in node.names]
         elif isinstance(node, (ast.Name, ast.Attribute)):
             found.append(_name(node))
-    return [name for name in found if SINGLE_REPLICA.get(name, module) != module]
+    return [name for name in found if PERFBENCH_ONLY.get(name, module) != module]
 
 
 def _tree(path: Path) -> ast.AST:
@@ -89,15 +98,21 @@ def test_detectors_catch_both_patterns():
     assert sorted(private_reaches(bad)) == ["cmj._path_rows", "gauss._weights", "renewal._check_guard"]
 
 
-def test_no_module_draws_through_a_single_replica_sampler():
-    """``iterlog rrt`` draws its trees through ``rrt.sample_profiles`` and check
-    c8b its sum through ``gauss.b2k_ensemble``, so nothing in the package uses
-    the single-replica samplers.  They are still defined and exported only
-    because the benchmark harness (``perfbench/spans.py`` and its tests) traces
-    them; ROADMAP item 6 deletes them once item 1 moves the harness off them."""
-    uses = {p.name: single_replica_uses(_tree(p), p.name) for p in MODULES}
+def test_no_module_uses_a_name_kept_only_for_perfbench():
+    """``iterlog rrt`` draws its trees through ``rrt.sample_profiles``, check
+    c8b its sum through ``gauss.b2k_ensemble``, and ``iterlog renewal --eta``
+    and check c3 their perturbed tables through ``renewal_table(law, K, N, eta)``,
+    so nothing in the package uses the single-replica samplers or the
+    ``renewal_sequence`` -> ``perturbed_table`` -> ``convolve_levels`` chain.
+    They are still defined and exported only because the benchmark harness
+    (``perfbench/`` and its tests) calls them; ROADMAP items 2 and 6 delete them
+    once item 1 moves the harness off them."""
+    uses = {p.name: perfbench_only_uses(_tree(p), p.name) for p in MODULES}
     assert {name: found for name, found in uses.items() if found} == {}
     bad = ast.parse("from .rrt import grow_yule\npath = gauss.sample_bm(1.0, 0.1, s)\nb2k(path, fk, 1.0)\n")
-    assert single_replica_uses(bad, "cli.py") == ["grow_yule", "sample_bm", "b2k"]
-    assert single_replica_uses(bad, "__init__.py") == ["sample_bm", "b2k"]
-    assert single_replica_uses(bad, "gauss.py") == ["grow_yule"]
+    assert perfbench_only_uses(bad, "cli.py") == ["grow_yule", "sample_bm", "b2k"]
+    assert perfbench_only_uses(bad, "__init__.py") == ["sample_bm", "b2k"]
+    assert perfbench_only_uses(bad, "gauss.py") == ["grow_yule"]
+    chain = ast.parse("t = renewal.convolve_levels(perturbed_table(renewal_sequence(law, n), d, eta, n, mu), 2)\n")
+    assert sorted(perfbench_only_uses(chain, "verify.py")) == ["convolve_levels", "perturbed_table", "renewal_sequence"]
+    assert perfbench_only_uses(chain, "renewal.py") == []

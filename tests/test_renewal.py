@@ -147,16 +147,21 @@ def test_perturbed_point_mass_shift():
 
 def test_perturbed_mismatched_spans():
     u = renewal_sequence(GEOM, 10)
-    with pytest.raises(ValueError, match="incommensurable"):
-        perturbed_table(u, 1.0, LatticeLaw(0.5, np.array([1.0])), 10, 2.0)
+    half = LatticeLaw(0.5, np.array([1.0]))
+    for build in (lambda: perturbed_table(u, 1.0, half, 10, 2.0), lambda: renewal_table(GEOM, 3, 10, half)):
+        with pytest.raises(ValueError, match="incommensurable"):
+            build()
 
 
 def test_perturbed_table_bad_input():
     u = renewal_sequence(GEOM, 10)
-    with pytest.raises(ValueError, match="must be lattice"):
-        perturbed_table(u, 1.0, SmoothLaw("exp", {"rate": 1.0}), 10, 2.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        perturbed_table(u, 1.0, GEOM, -1, 2.0)
+    smooth = SmoothLaw("exp", {"rate": 1.0})
+    for build in (lambda: perturbed_table(u, 1.0, smooth, 10, 2.0), lambda: renewal_table(GEOM, 3, 10, smooth)):
+        with pytest.raises(ValueError, match="must be lattice"):
+            build()
+    for build in (lambda: perturbed_table(u, 1.0, GEOM, -1, 2.0), lambda: renewal_table(GEOM, 3, -1, GEOM)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            build()
 
 
 def test_memory_guard():
@@ -170,6 +175,7 @@ def test_memory_guard():
             lambda: renewal_table(GEOM, 1, MAX_TABLE_ENTRIES),
             lambda: renewal_sequence(GEOM, MAX_TABLE_ENTRIES),
             lambda: perturbed_table(u, 1.0, GEOM, MAX_TABLE_ENTRIES, 2.0),
+            lambda: renewal_table(GEOM, 1, MAX_TABLE_ENTRIES, GEOM),
         ):
             with pytest.raises(ValueError, match="horizon too large"):
                 build()
@@ -432,7 +438,9 @@ def test_standard_table_vs_fraction_oracle(law, n_max):
 def test_perturbed_chain_vs_fraction_oracle(step, eta, n_max):
     u = renewal_sequence(step, n_max)
     chain = convolve_levels(perturbed_table(u, step.span, eta, n_max, step.moments().mean), 3)
-    _assert_rel_close(chain.values, _exact_levels(step, 3, n_max, eta))
+    exact = _exact_levels(step, 3, n_max, eta)
+    _assert_rel_close(chain.values, exact)
+    _assert_rel_close(renewal_table(step, 3, n_max, eta).values, exact)
 
 
 def test_renewal_table_bad_input():
@@ -446,49 +454,73 @@ def test_renewal_table_bad_input():
         renewal_sequence(GEOM, -1)
 
 
-@pytest.mark.parametrize("law", RATIONAL_LAWS + [GEOM])
-def test_recurrence_levels_match_stieltjes_levels(law):
+@pytest.mark.parametrize(
+    "law, eta",
+    [(law, None) for law in RATIONAL_LAWS + [GEOM]]
+    + [(RATIONAL_LAWS[1], RATIONAL_LAWS[2]), (RATIONAL_LAWS[2], GEOM), (GEOM, RATIONAL_LAWS[0])],
+    ids=["law0", "law1", "law2", "law3", "perturbed0", "perturbed1", "perturbed2"],
+)
+def test_recurrence_levels_match_stieltjes_levels(law, eta):
     n_max = 2000
-    stieltjes = convolve_levels(renewal_table(law, 1, n_max), 3).values
-    _assert_rel_close(stieltjes, renewal_table(law, 3, n_max).values)
+    if eta is None:
+        stieltjes = convolve_levels(renewal_table(law, 1, n_max), 3).values
+    else:
+        u = renewal_sequence(law, n_max)
+        stieltjes = convolve_levels(perturbed_table(u, law.span, eta, n_max, law.moments().mean), 3).values
+    _assert_rel_close(stieltjes, renewal_table(law, 3, n_max, eta).values)
 
 
-def _scaled_integer_levels(numerators: list[int], levels: int, n_max: int) -> np.ndarray:
-    """V_1..V_K for the pmf numerators/16 on sites 1..M, from exact integers.
+def _scaled_integer_levels(
+    numerators: list[int], levels: int, n_max: int, eta_numerators: list[int] | None = None
+) -> np.ndarray:
+    """V_1..V_K for the pmf a/16 on sites 1..M, from exact integers, or V*_1..V*_K
+    when the perturbation pmf c/16 is given (c = a when it is not).
 
-    W_k(n) = 16^n V_k(n) obeys W_k(n) = sum_m a_m 16^(m-1) [W_k(n-m) + W_{k-1}(n-m)]
+    W_k(n) = 16^n V_k(n) obeys W_k(n) = sum_m 16^(m-1) [a_m W_k(n-m) + c_m W_{k-1}(n-m)]
     with W_0(n) = 16^n; one correctly rounded division per cell gives V_k(n).
     """
     weights = [(m, a << 4 * (m - 1)) for m, a in enumerate(numerators, start=1)]
+    eta_weights = [(m, c << 4 * (m - 1)) for m, c in enumerate(eta_numerators or numerators, start=1)]
     prev = [1 << 4 * n for n in range(n_max + 1)]
     rows = []
     for _ in range(levels):
         cur = []
         for n in range(n_max + 1):
-            cur.append(sum(w * (cur[n - m] + prev[n - m]) for m, w in weights if m <= n))
+            cur.append(
+                sum(w * cur[n - m] for m, w in weights if m <= n)
+                + sum(w * prev[n - m] for m, w in eta_weights if m <= n)
+            )
         rows.append([x / (1 << 4 * n) for n, x in enumerate(cur)])
         prev = cur
     return np.array(rows)
 
 
-@pytest.mark.parametrize("numerators", [[3, 13], [5, 2, 9], [4, 8, 4]])
-def test_standard_table_vs_scaled_integer_oracle(numerators):
+@pytest.mark.parametrize(
+    "numerators, eta_numerators",
+    [([3, 13], None), ([5, 2, 9], None), ([4, 8, 4], None),
+     ([5, 2, 9], [3, 13]), ([3, 13], [4, 8, 4]), ([4, 8, 4], [5, 2, 9])],
+    ids=["numerators0", "numerators1", "numerators2", "perturbed0", "perturbed1", "perturbed2"],
+)
+def test_standard_table_vs_scaled_integer_oracle(numerators, eta_numerators):
     n_max = 4000
     law = LatticeLaw(1.0, np.array(numerators) / 16.0)
-    exact = _scaled_integer_levels(numerators, 3, n_max)
-    _assert_rel_close(renewal_table(law, 3, n_max).values, exact)
+    eta = None if eta_numerators is None else LatticeLaw(1.0, np.array(eta_numerators) / 16.0)
+    exact = _scaled_integer_levels(numerators, 3, n_max, eta_numerators)
+    _assert_rel_close(renewal_table(law, 3, n_max, eta).values, exact)
 
 
 def test_table_bits_independent_of_blas_threads():
     src = str(Path(iterlog.__file__).resolve().parents[1])
     code = (
         "import hashlib, sys\n"
-        "from iterlog.dist import geometric_lattice\n"
+        "import numpy as np\n"
+        "from iterlog.dist import LatticeLaw, geometric_lattice\n"
         "from iterlog.renewal import convolve_levels, perturbed_table, renewal_sequence, renewal_table\n"
         "law = geometric_lattice(0.5)\n"
         "u = renewal_sequence(law, 16000)\n"
         "chain = convolve_levels(perturbed_table(u, law.span, law, 16000, 2.0), 3)\n"
-        "for values in (renewal_table(law, 3, 16000).values, chain.values):\n"
+        "eta = LatticeLaw(1.0, np.array([0.6, 0.0, 0.4]))\n"
+        "for values in (renewal_table(law, 3, 16000).values, chain.values, renewal_table(law, 3, 16000, eta).values):\n"
         "    sys.stdout.write(hashlib.sha256(values.tobytes()).hexdigest())\n"
     )
     digests = []
@@ -499,7 +531,7 @@ def test_table_bits_independent_of_blas_threads():
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True
         )
         digests.append(done.stdout)
-    assert len(digests[0]) == 128
+    assert len(digests[0]) == 192
     assert digests[0] == digests[1]
 
 
