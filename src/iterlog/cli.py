@@ -1,9 +1,15 @@
 """Command-line front end: reproducible experiments, CSV/JSON/SVG reports.
 
-Subcommands: moments, renewal, simulate, mc, rrt, gauss, verify.  A JSON
-config file can mirror any flag; explicit flags win, and a file is checked as
-the flags are.  Each subcommand writes only its own formats.  Exit codes: 0 ok,
-1 a gated verification check failed, 2 usage error.
+Subcommands: moments, renewal, simulate, mc, rrt, gauss, verify.  Each
+subcommand's parser declares its options once: flag, type, default and
+choices.  A JSON ``--config`` file is read as flags: each non-null key (an
+option's dest, as ``--dump-config`` writes it) becomes ``--flag=value`` right
+after the subcommand name, so the parser checks file values as it checks
+flags, and a flag on the command line wins.  A key the subcommand has no
+option for is refused (a ``grid`` for ``mc``; a ``seed`` for ``moments`` or
+``renewal``, which draw nothing and take no ``--seed``), and ``--dump-config``
+writes exactly the subcommand's options.  Each subcommand writes only its own
+formats.  Exit codes: 0 ok, 1 a gated verification check failed, 2 usage error.
 
 All numeric CSV output uses 17 significant digits so files round-trip and
 identical (config, seed) pairs give byte-identical artifacts.
@@ -15,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -25,46 +30,50 @@ from .plot import Series, emit_plot
 
 _G17 = "{:.17g}".format
 
-#: Values of the fields whose flags take one of a fixed set.
-_CHOICES = {"fmt": ("csv", "json", "text", "svg"), "suite": ("fast", "full")}
-
-#: Options a subcommand's option makes it ignore: given together (by flag or
-#: config file) they are refused; given alone, the ignored ones resolve to None.
-_OVERRIDES = {("verify", "checks"): ("suite",), ("rrt", "enumerate_n"): ("n", "replicas", "seed")}
+#: A subcommand's option that makes it ignore others, with their defaults: given
+#: together (by flag or config file) they are refused; given alone, the ignored
+#: ones stay None, and without it they take these defaults.
+_OVERRIDES = {"verify": ("checks", {"suite": "fast"}),
+              "rrt": ("enumerate_n", {"n": 100, "replicas": 100, "seed": 0})}
 
 #: Formats a subcommand writes, its default first (simulate and rrt: see ``_formats``).
-_FORMATS = {"moments": ("json",), "renewal": ("csv", "json"), "mc": ("csv", "json"),
-            "gauss": ("csv", "json"), "verify": ("text", "json")}
+_FORMATS = {"moments": ("json",), "renewal": ("csv", "json"), "simulate": ("json", "csv", "svg"),
+            "mc": ("csv", "json"), "rrt": ("csv", "json"), "gauss": ("csv", "json"),
+            "verify": ("text", "json")}
 
 
-@dataclass
-class ExperimentConfig:
-    """Resolved invocation: everything needed to reproduce an experiment."""
-
-    subcommand: str
-    law: str | None = None
-    eta: str | None = None
-    k: int = 1
-    levels: int = 3
-    t: float = 100.0
-    n: int = 100
-    h: float = 0.01
-    replicas: int = 100
-    seed: int = 0
-    grid: str | None = None
-    out: str | None = None
-    fmt: str | None = None  # None until resolved: the subcommand's default
-    suite: str = "fast"
-    checks: str | None = None
-    plot: str | None = None
-    enumerate_n: int | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+def _keys(command: argparse.ArgumentParser) -> dict[str, str]:
+    """A subcommand's config keys, each with its flag: the dests of its options
+    other than help, --config and --dump-config."""
+    return {a.dest: a.option_strings[-1] for a in command._actions
+            if a.dest not in ("help", "config", "dump_config")}
 
 
-def _formats(cfg: ExperimentConfig) -> tuple[str, ...]:
-    """Formats the resolved subcommand writes, its default first."""
+def _with_config(commands: dict[str, argparse.ArgumentParser], argv: list[str]) -> list[str]:
+    """``argv`` with its ``--config`` file's values as flags after the subcommand name."""
+    if not argv or argv[0] not in commands:
+        return argv
+    pre = argparse.ArgumentParser(prog=f"iterlog {argv[0]}", usage=argparse.SUPPRESS, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    with open(path, "r", encoding="utf-8") as fh:
+        body = json.load(fh)
+    if not isinstance(body, dict):
+        raise ValueError("config file must hold a JSON object")
+    keys = _keys(commands[argv[0]])
+    tokens = []
+    for key, value in body.items():
+        if key not in keys:
+            raise ValueError(f"unknown config key {key!r}")
+        if value is not None:
+            tokens.append(f"{keys[key]}={value if isinstance(value, str) else json.dumps(value)}")
+    return argv[:1] + tokens + argv[1:]
+
+
+def _formats(cfg: argparse.Namespace) -> tuple[str, ...]:
+    """Formats the parsed subcommand writes, its default first."""
     if cfg.subcommand == "simulate":
         return ("csv", "svg") if cfg.grid else ("json",)
     if cfg.subcommand == "rrt":
@@ -72,45 +81,22 @@ def _formats(cfg: ExperimentConfig) -> tuple[str, ...]:
     return _FORMATS[cfg.subcommand]
 
 
-def _resolve(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge CLI flags over config-file values over built-in defaults."""
-    file_cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-    cfg = ExperimentConfig(args.subcommand)
-    if not isinstance(file_cfg, dict):
-        raise ValueError("config file must hold a JSON object")
-    for name, value in file_cfg.items():
-        if name not in vars(cfg):
-            raise ValueError(f"unknown config key {name!r}")
-        if name in _CHOICES and value is not None and value not in _CHOICES[name]:
-            raise ValueError(f"config {name} must be one of {', '.join(_CHOICES[name])}, got {value!r}")
-    given = set()  # set by a flag or by a non-null config value
-    for name in vars(cfg):
-        if name == "subcommand":
-            continue
-        value = getattr(args, name, None)
-        if value is None:
-            value = file_cfg.get(name)
-        if value is not None:
-            setattr(cfg, name, value)
-            given.add(name)
-    for (command, name), ignored in _OVERRIDES.items():
-        if command != cfg.subcommand or name not in given:
-            continue
-        clash = [f"--{o}" for o in ignored if o in given]
+def _resolve(cfg: argparse.Namespace, keys: dict[str, str]) -> None:
+    """Apply the subcommand's override and its default format to the parsed options."""
+    name, ignored = _OVERRIDES.get(cfg.subcommand, (None, {}))
+    if name is not None and getattr(cfg, name) is not None:
+        clash = [keys[o] for o in ignored if getattr(cfg, o) is not None]
         if clash:
-            flag = "--enumerate" if name == "enumerate_n" else f"--{name}"
-            raise ValueError(f"{flag} ignores {', '.join(clash)}; give one or the other")
-        for o in ignored:  # so a dumped config reloads without the clash
-            setattr(cfg, o, None)
+            raise ValueError(f"{keys[name]} ignores {', '.join(clash)}; give one or the other")
+    else:
+        for o, default in ignored.items():
+            if getattr(cfg, o) is None:
+                setattr(cfg, o, default)
     formats = _formats(cfg)
     if cfg.fmt is None:
         cfg.fmt = formats[0]
     elif cfg.fmt not in formats:
         raise ValueError(f"{cfg.subcommand} writes {' or '.join(formats)}, not {cfg.fmt}")
-    return cfg
 
 
 #: Keys of each grid kind with their defaults; a linear grid needs its start and stop.
@@ -150,7 +136,7 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _cmd_moments(cfg: ExperimentConfig) -> int:
+def _cmd_moments(cfg: argparse.Namespace) -> int:
     if cfg.levels < 1:
         raise ValueError("need K >= 1")
     law = parse_law(cfg.law)
@@ -162,7 +148,7 @@ def _cmd_moments(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_renewal(cfg: ExperimentConfig) -> int:
+def _cmd_renewal(cfg: argparse.Namespace) -> int:
     law = parse_law(cfg.law)
     eta = parse_law(cfg.eta) if cfg.eta else None
     # json prints only constants, which do not depend on N; a one-site table refuses the same input
@@ -184,21 +170,13 @@ def _cmd_renewal(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _sim_config(cfg: ExperimentConfig) -> cmj.SimConfig:
-    grid = _parse_grid(cfg.grid) if cfg.grid else None
-    return cmj.SimConfig(
-        parse_law(cfg.law),
-        levels=cfg.levels,
-        horizon=cfg.t,
-        eta=parse_law(cfg.eta) if cfg.eta else None,
-        grid=grid,
-        seed=cfg.seed,
-        replicas=cfg.replicas,
-    )
+def _sim_config(cfg: argparse.Namespace, **extra) -> cmj.SimConfig:
+    eta = parse_law(cfg.eta) if cfg.eta else None
+    return cmj.SimConfig(parse_law(cfg.law), cfg.levels, cfg.t, eta, seed=cfg.seed, **extra)
 
 
-def _cmd_simulate(cfg: ExperimentConfig) -> int:
-    config = _sim_config(cfg)
+def _cmd_simulate(cfg: argparse.Namespace) -> int:
+    config = _sim_config(cfg, grid=_parse_grid(cfg.grid) if cfg.grid else None)
     sim = cmj.simulate_generations(config, 0)
     if cfg.fmt == "svg":
         if not cfg.out:
@@ -219,9 +197,8 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_mc(cfg: ExperimentConfig) -> int:
-    # a grid adds nothing to the summary and would walk the last generation
-    config = _sim_config(replace(cfg, grid=None))
+def _cmd_mc(cfg: argparse.Namespace) -> int:
+    config = _sim_config(cfg, replicas=cfg.replicas)
     summary = cmj.monte_carlo(config)
     if cfg.fmt == "json":
         _emit(_json(summary.to_dict()), cfg.out)
@@ -238,7 +215,7 @@ def _cmd_mc(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_rrt(cfg: ExperimentConfig) -> int:
+def _cmd_rrt(cfg: argparse.Namespace) -> int:
     if cfg.enumerate_n is not None:
         pmf = rrt.enumerate_profiles(cfg.enumerate_n, cfg.levels)
         encoded = {",".join(str(v) for v in key): p for key, p in sorted(pmf.items())}
@@ -256,7 +233,7 @@ def _cmd_rrt(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_gauss(cfg: ExperimentConfig) -> int:
+def _cmd_gauss(cfg: argparse.Namespace) -> int:
     k, t, h = cfg.k, cfg.t, cfg.h
     if k < 2:
         raise ValueError("the weighted integrals need k >= 2")
@@ -293,7 +270,7 @@ def _cmd_gauss(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: ExperimentConfig) -> int:
+def _cmd_verify(cfg: argparse.Namespace) -> int:
     # imported here: verify loads scipy.stats (~1 s), which no other command needs
     from . import verify
 
@@ -335,7 +312,8 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``iterlog`` parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="iterlog",
         description="Renewal tables, branching-generation Monte Carlo, tree profiles",
@@ -346,67 +324,71 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--config", help="JSON file mirroring flags; flags override")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", dest="fmt", choices=_CHOICES["fmt"])
-        p.add_argument("--seed", type=int)
+        p.add_argument("--format", dest="fmt", choices=_FORMATS[name])
         p.add_argument("--dump-config", dest="dump_config", help="write the resolved config JSON")
         return p
 
     p = add("moments", help="closed-form moments and statistic constants of a law")
     p.add_argument("--law", required=True)
-    p.add_argument("--K", dest="levels", type=int)
+    p.add_argument("--K", dest="levels", type=int, default=3)
 
     p = add("renewal", help="exact lattice tables and expansion constants")
     p.add_argument("--law", required=True)
     p.add_argument("--eta", help="perturbation law (same lattice)")
-    p.add_argument("--K", dest="levels", type=int)
-    p.add_argument("--N", dest="n", type=int)
+    p.add_argument("--K", dest="levels", type=int, default=3)
+    p.add_argument("--N", dest="n", type=int, default=100)
 
     p = add("simulate", help="one replica of the branching process")
     p.add_argument("--law", required=True)
     p.add_argument("--eta")
-    p.add_argument("--K", dest="levels", type=int)
-    p.add_argument("--t", type=float)
+    p.add_argument("--K", dest="levels", type=int, default=3)
+    p.add_argument("--t", type=float, default=100.0)
     p.add_argument("--grid", help="geometric:start=..,base=..,count=.. or linear:start=..,stop=..,count=..")
+    p.add_argument("--seed", type=int, default=0)
 
     p = add("mc", help="Monte Carlo ensemble of generation counts")
     p.add_argument("--law", required=True)
     p.add_argument("--eta")
-    p.add_argument("--K", dest="levels", type=int)
-    p.add_argument("--t", type=float)
-    p.add_argument("--replicas", type=int)
+    p.add_argument("--K", dest="levels", type=int, default=3)
+    p.add_argument("--t", type=float, default=100.0)
+    p.add_argument("--replicas", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
 
     p = add("rrt", help="random recursive tree profiles (n = non-root vertices)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--K", dest="levels", type=int)
+    p.add_argument("--n", type=int)  # --n, --replicas, --seed: defaults in _OVERRIDES
+    p.add_argument("--K", dest="levels", type=int, default=3)
     p.add_argument("--replicas", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--enumerate", dest="enumerate_n", type=int, help="exact pmf by enumeration")
 
     p = add("gauss", help="weighted Brownian sums and variance identities")
     p.add_argument("--law", help="lattice or exponential law for the remainder weight")
-    p.add_argument("--k", type=int)
-    p.add_argument("--t", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--replicas", type=int)
+    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--t", type=float, default=100.0)
+    p.add_argument("--h", type=float, default=0.01)
+    p.add_argument("--replicas", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
 
     p = add("verify", help="run the named verification checks")
-    p.add_argument("--suite", choices=_CHOICES["suite"])
+    p.add_argument("--suite", choices=("fast", "full"))  # default in _OVERRIDES
     p.add_argument("--checks", help="comma list of check names instead of a suite")
     p.add_argument("--plot", help="also write the fluctuation-band SVG to this path")
-    return parser
+    p.add_argument("--seed", type=int, default=0)
+    return parser, sub.choices
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        cfg = parser.parse_args(_with_config(commands, argv))
+        keys = _keys(commands[cfg.subcommand])
+        _resolve(cfg, keys)
+        if cfg.dump_config:
+            with open(cfg.dump_config, "w", encoding="utf-8") as fh:
+                fh.write(_json({key: getattr(cfg, key) for key in keys}))
+        return _COMMANDS[cfg.subcommand](cfg)
+    except SystemExit as exc:  # argparse's usage errors, and --help
         return 2 if exc.code not in (0, None) else 0
-    try:
-        cfg = _resolve(args)
-        if getattr(args, "dump_config", None):
-            with open(args.dump_config, "w", encoding="utf-8") as fh:
-                fh.write(_json(cfg.to_dict()))
-        return _COMMANDS[args.subcommand](cfg)
     except (ValueError, OSError) as exc:
         print(f"iterlog: error: {exc}", file=sys.stderr)
         return 2

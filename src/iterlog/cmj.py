@@ -43,7 +43,7 @@ class SimConfig:
     stream_offset: int = 0
 
     def __post_init__(self):
-        if self.horizon <= 0:
+        if not self.horizon > 0:
             raise ValueError("horizon must be positive")
         if self.levels < 1:
             raise ValueError("need at least one generation")
@@ -57,8 +57,8 @@ class SimConfig:
             )
         if self.grid is not None:
             grid = np.asarray(self.grid, dtype=np.float64)
-            if grid.ndim != 1 or np.any(np.diff(grid) < 0) or grid.size == 0:
-                raise ValueError("grid must be a nondecreasing 1-D array")
+            if grid.ndim != 1 or np.any(np.diff(grid) < 0) or grid.size == 0 or not np.isfinite(grid).all():
+                raise ValueError("grid must be a finite, nondecreasing 1-D array")
             if grid[0] < 0 or grid[-1] > self.horizon:
                 raise ValueError("grid must lie within [0, horizon]")
             object.__setattr__(self, "grid", grid)

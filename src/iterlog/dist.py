@@ -92,11 +92,11 @@ class LatticeLaw:
     def __post_init__(self):
         pmf = np.asarray(self.pmf, dtype=np.float64)
         object.__setattr__(self, "pmf", pmf)
-        if self.span <= 0:
-            raise ValueError("span must be positive")
+        if not 0 < self.span < math.inf:
+            raise ValueError("span must be finite and positive")
         if pmf.ndim != 1 or pmf.size == 0:
             raise ValueError("pmf must be a nonempty 1-D array")
-        if np.any(pmf < 0):
+        if not np.all(pmf >= 0):
             raise ValueError("pmf entries must be nonnegative")
         total = math.fsum(pmf.tolist())
         if abs(total - 1.0) > PMF_TOLERANCE:
@@ -168,15 +168,15 @@ class SmoothLaw:
         p = dict(self.params)
         object.__setattr__(self, "params", p)
         if self.family == "exp":
-            if p.get("rate", 0.0) <= 0:
-                raise ValueError("exponential rate must be positive")
+            if not 0 < p.get("rate", 0.0) < math.inf:
+                raise ValueError("exponential rate must be finite and positive")
         elif self.family == "gamma":
-            if p.get("shape", 0.0) <= 0 or p.get("rate", 0.0) <= 0:
-                raise ValueError("gamma shape and rate must be positive")
+            if not (0 < p.get("shape", 0.0) < math.inf and 0 < p.get("rate", 0.0) < math.inf):
+                raise ValueError("gamma shape and rate must be finite and positive")
         else:
             lo, hi = p.get("lo", -1.0), p.get("hi", 0.0)
-            if not (0 <= lo < hi):
-                raise ValueError("uniform needs 0 <= lo < hi")
+            if not 0 <= lo < hi < math.inf:
+                raise ValueError("uniform needs 0 <= lo < hi < inf")
 
     def moments(self) -> Moments:
         p = self.params

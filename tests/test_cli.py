@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import iterlog
-from iterlog import rrt, verify
-from iterlog.cli import ExperimentConfig, _resolve, build_parser, run
+from iterlog import cli, rrt, verify
+from iterlog.cli import run
 from iterlog.dist import LatticeLaw, RngStream
 from iterlog.plot import Series, emit_plot
 from iterlog.renewal import convolve_levels, perturbed_table, renewal_sequence
@@ -128,6 +128,7 @@ def test_linear_grid_needs_start_and_stop(capsys):
         ("linear:start=1,stop=5,count=3,count=4", "duplicate key 'count'"),
         ("linear:start=1,stop=5,count", "key=value"),
         ("spiral:count=3", "unknown grid kind"),
+        ("geometric:start=nan,count=3", "grid must be a finite"),
     ],
 )
 def test_grid_spec_checked_as_laws_are(grid, message, capsys):
@@ -175,12 +176,13 @@ def test_mc_takes_no_grid(tmp_path, capsys):
     assert run(args + ["--grid", "linear:start=5,stop=20,count=4"]) == 2
     capsys.readouterr()
     assert run(args) == 0
-    plain = _capture(capsys)
-    # a grid from a config file is dropped too: it would walk the last generation
+    capsys.readouterr()
+    # nor from a config file: a grid adds nothing to the summary and would walk the last generation
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({"grid": "linear:start=5,stop=20,count=4"}))
-    assert run(args + ["--config", str(config_path)]) == 0
-    assert _capture(capsys) == plain
+    assert run(args + ["--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown config key 'grid'" in captured.err
 
 
 def test_mc_json_summary(capsys):
@@ -329,6 +331,13 @@ def test_gauss_step_and_replica_errors(capsys):
     assert len(_capture(capsys).splitlines()) == 2
 
 
+def test_gauss_defaults_to_the_smallest_k(capsys):
+    assert run(["gauss", "--t", "1", "--h", "0.1", "--seed", "3"]) == 0
+    default = _capture(capsys)
+    assert run(["gauss", "--k", "2", "--t", "1", "--h", "0.1", "--seed", "3"]) == 0
+    assert _capture(capsys) == default
+
+
 def test_verify_single_check_deterministic(capsys):
     assert run(["verify", "--checks", "c1,c2", "--seed", "7", "--format", "json"]) == 0
     first = _capture(capsys)
@@ -428,6 +437,8 @@ def test_scipy_stats_loaded_only_by_commands_that_need_it():
 def test_usage_errors(capsys):
     assert run(["moments", "--law", "bogus:x=1"]) == 2
     assert run(["nonsense"]) == 2
+    assert run(["moments", "--law", "exp:rate=1", "--seed", "3"]) == 2  # nothing there draws
+    assert run(["renewal", "--law", "geom:p=0.5", "--N", "5", "--format", "json", "--seed", "3"]) == 2
     assert run(["renewal", "--law", "exp:rate=1", "--N", "5"]) == 2  # needs a lattice law
     assert run(["renewal", "--law", "geom:p=0.5", "--eta", "exp:rate=1", "--N", "5"]) == 2
     assert run(["verify", "--checks", "zzz"]) == 2
@@ -443,8 +454,7 @@ def test_config_file_round_trip(tmp_path, capsys):
     assert run(["moments", "--law", "exp:rate=2", "--K", "2", "--dump-config", str(dump)]) == 0
     first = _capture(capsys)
     cfg = json.loads(dump.read_text())
-    assert ExperimentConfig(**cfg).law == "exp:rate=2"
-    assert cfg["fmt"] == "json"  # the dump names the format the subcommand wrote
+    assert cfg == {"out": None, "fmt": "json", "law": "exp:rate=2", "levels": 2}  # moments' options only
     config_path = tmp_path / "use.json"
     config_path.write_text(json.dumps({"law": "exp:rate=2", "levels": 2}))
     assert run(["moments", "--law", "exp:rate=2", "--config", str(config_path)]) == 0
@@ -468,9 +478,9 @@ def test_config_flag_overrides_file(tmp_path, capsys):
     [
         (["rrt", "--n", "5"], {"replicass": 5}, "unknown config key 'replicass'"),
         (["rrt", "--n", "5"], {"mode": "discrete"}, "unknown config key 'mode'"),
-        (["rrt", "--n", "5"], {"fmt": "yaml"}, "config fmt must be one of"),
-        (["verify", "--checks", "c1"], {"suite": "slow"}, "config suite must be one of fast, full"),
-        (["mc", "--law", "exp:rate=1", "--t", "5"], {"fmt": "svg"}, "mc writes csv or json, not svg"),
+        (["rrt", "--n", "5"], {"fmt": "yaml"}, "argument --format: invalid choice: 'yaml'"),
+        (["verify", "--checks", "c1"], {"suite": "slow"}, "argument --suite: invalid choice: 'slow'"),
+        (["mc", "--law", "exp:rate=1", "--t", "5"], {"fmt": "svg"}, "argument --format: invalid choice: 'svg'"),
         (["moments", "--law", "exp:rate=1"], [1, 2], "config file must hold a JSON object"),
         (["verify"], {"checks": ""}, "unknown check ''"),
         (["verify", "--checks", "c1"], {"suite": "full"}, "--checks ignores --suite;"),
@@ -479,10 +489,13 @@ def test_config_flag_overrides_file(tmp_path, capsys):
         (["rrt", "--enumerate", "3"], {"n": 50, "replicas": 9}, "--enumerate ignores --n, --replicas;"),
         (["rrt", "--n", "5"], {"enumerate_n": 3}, "--enumerate ignores --n;"),
         (["rrt"], {"enumerate_n": 3, "replicas": 9, "seed": 4}, "--enumerate ignores --replicas, --seed;"),
+        (["moments", "--law", "exp:rate=1"], {"levels": 2.5}, "argument --K: invalid int value: '2.5'"),
+        (["mc", "--law", "exp:rate=1"], {"t": "abc"}, "argument --t: invalid float value: 'abc'"),
+        (["moments", "--law", "exp:rate=1"], {"replicas": 5}, "unknown config key 'replicas'"),
     ],
     ids=["misspelt_key", "mode", "fmt", "suite", "fmt_of_subcommand", "not_an_object", "empty_checks",
          "suite_with_checks", "checks_with_suite", "both_in_file", "sampling_with_enumerate",
-         "enumerate_with_n", "enumerate_in_file"],
+         "enumerate_with_n", "enumerate_in_file", "fractional_levels", "text_horizon", "foreign_key"],
 )
 def test_config_file_checked_as_flags_are(tmp_path, capsys, argv, body, message):
     config_path = tmp_path / "cfg.json"
@@ -490,43 +503,56 @@ def test_config_file_checked_as_flags_are(tmp_path, capsys, argv, body, message)
     assert run(argv + ["--config", str(config_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert message in captured.err
+    assert message in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["simulate", "--law", "exp:rate=1", "--t", "5", "--format", "svg"],
-        ["simulate", "--law", "exp:rate=1", "--t", "5", "--format", "csv"],
-        ["simulate", "--law", "exp:rate=1", "--t", "20", "--grid", "linear:start=5,stop=20,count=4",
-         "--format", "json"],
-        ["mc", "--law", "exp:rate=1", "--t", "5", "--replicas", "4", "--format", "svg"],
-        ["mc", "--law", "exp:rate=1", "--t", "5", "--replicas", "4", "--format", "text"],
-        ["moments", "--law", "exp:rate=1", "--format", "csv"],
-        ["renewal", "--law", "geom:p=0.5", "--N", "5", "--format", "svg"],
-        ["rrt", "--n", "5", "--format", "json"],
-        ["rrt", "--enumerate", "3", "--format", "csv"],
-        ["gauss", "--k", "2", "--t", "1", "--h", "0.1", "--format", "text"],
-        ["verify", "--checks", "c1", "--format", "csv"],
+        (["simulate", "--law", "exp:rate=1", "--t", "5", "--format", "svg"], "simulate writes "),
+        (["simulate", "--law", "exp:rate=1", "--t", "5", "--format", "csv"], "simulate writes "),
+        (["simulate", "--law", "exp:rate=1", "--t", "20", "--grid", "linear:start=5,stop=20,count=4",
+          "--format", "json"], "simulate writes "),
+        (["mc", "--law", "exp:rate=1", "--t", "5", "--replicas", "4", "--format", "svg"], "invalid choice: 'svg'"),
+        (["mc", "--law", "exp:rate=1", "--t", "5", "--replicas", "4", "--format", "text"], "invalid choice: 'text'"),
+        (["moments", "--law", "exp:rate=1", "--format", "csv"], "invalid choice: 'csv'"),
+        (["renewal", "--law", "geom:p=0.5", "--N", "5", "--format", "svg"], "invalid choice: 'svg'"),
+        (["rrt", "--n", "5", "--format", "json"], "rrt writes "),
+        (["rrt", "--enumerate", "3", "--format", "csv"], "rrt writes "),
+        (["gauss", "--k", "2", "--t", "1", "--h", "0.1", "--format", "text"], "invalid choice: 'text'"),
+        (["verify", "--checks", "c1", "--format", "csv"], "invalid choice: 'csv'"),
     ],
     ids=["simulate_svg_no_grid", "simulate_csv_no_grid", "simulate_json_grid", "mc_svg", "mc_text",
          "moments_csv", "renewal_svg", "rrt_json", "rrt_enumerate_csv", "gauss_text", "verify_csv"],
 )
-def test_format_a_subcommand_cannot_write_is_refused(tmp_path, capsys, argv):
+def test_format_a_subcommand_cannot_write_is_refused(tmp_path, capsys, argv, message):
+    # a format no run of the subcommand writes is not among its --format choices
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2
     assert not out.exists()
-    assert f"{argv[0]} writes " in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
-def test_readme_commands_resolve():
-    # each example of the README's command-line section parses, and asks for a format its subcommand writes
+def test_readme_commands_resolve(tmp_path, monkeypatch, capsys):
+    # each example of the README's command-line section parses and asks for a format its subcommand writes;
+    # its --dump-config, given alone, resolves to the same options and writes the same bytes
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line.startswith("iterlog ")]
+    lines = [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("iterlog ")]
     assert len(lines) == 10
-    parser = build_parser()
-    for line in lines:
-        _resolve(parser.parse_args(shlex.split(line)[1:]))
+    monkeypatch.chdir(tmp_path)  # where the examples' --out files go
+
+    def written():
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.stem not in ("first", "again")}
+        return _capture(capsys), files
+
+    for argv in lines:
+        if argv[0] in ("mc", "gauss", "verify"):  # seconds a run: these only parse and resolve
+            monkeypatch.setitem(cli._COMMANDS, argv[0], lambda cfg: 0)
+        assert run(argv + ["--dump-config", "first.json"]) == 0
+        first = written()
+        assert run([argv[0], "--config", "first.json", "--dump-config", "again.json"]) == 0
+        assert written() == first
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "first.json").read_bytes()
 
 
 def test_emit_plot_single_point(tmp_path):

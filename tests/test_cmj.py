@@ -307,6 +307,18 @@ def test_config_validation():
         SimConfig(EXP1, levels=1, horizon=10.0, grid=np.array([1.0, 20.0]))
 
 
+@pytest.mark.parametrize(
+    "horizon, grid, message",
+    [(math.nan, None, "horizon must be positive"),
+     (10.0, np.array([1.0, math.nan, 3.0]), "grid must be a finite"),
+     (10.0, np.full(3, math.nan), "grid must be a finite")],
+    ids=["nan_horizon", "nan_in_grid", "nan_grid"],
+)
+def test_config_refuses_nan_horizon_and_non_finite_grid(horizon, grid, message):
+    with pytest.raises(ValueError, match=message):
+        SimConfig(EXP1, levels=1, horizon=horizon, grid=grid)
+
+
 def test_degenerate_law_has_no_statistics():
     config = SimConfig(UNIT, levels=1, horizon=10.0, seed=0, replicas=4)
     summary = monte_carlo(config, workers=1)

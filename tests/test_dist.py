@@ -364,6 +364,17 @@ def test_law_spec_refuses_keys_it_does_not_read(spec, law, extra, message):
         parse_law(extra)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["exp:rate=nan", "exp:rate=inf", "gamma:shape=nan,rate=1", "gamma:shape=1,rate=inf", "unif:lo=0,hi=inf",
+     "lattice:d=nan;p=1", "lattice:d=inf;p=1", "lattice:d=1;p=0.5,nan", "geom:p=0.5,d=nan"],
+)
+def test_non_finite_law_parameters_refused(spec):
+    # each once printed a NaN, an Infinity or a zero mean
+    with pytest.raises(ValueError, match="finite|inf|nonnegative"):
+        parse_law(spec)
+
+
 def test_smooth_law_validation():
     with pytest.raises(ValueError, match="family"):
         SmoothLaw("cauchy", {})
