@@ -2,12 +2,12 @@
 
 Vertex count convention: n is the number of NON-ROOT vertices, born at
 epochs tau_1 < ... < tau_n, so the tree holds n+1 vertices and the level
-counts satisfy sum_k X_n(k) = n.  Both growers produce the same profile
-law; the Yule grower additionally records the birth epochs, making the
-profile literally the generation count of the exponential branching
-process sampled at tau_n.  Every grower runs one level kernel on a block
-of trees; a single tree is row 0 of a block of one.  The profile statistic
-is ``cmj.lil_statistic`` for the unit exponential law read at t = log n.
+counts satisfy sum_k X_n(k) = n.  Every tree is a parent array that one level
+kernel reads on a block of trees, capped where its caller stops: the profile
+samplers find levels 1..K only, the growers every level.  The Yule grower also
+records the birth epochs, making the profile the generation count of the
+exponential branching process sampled at tau_n.  The profile statistic is
+``cmj.lil_statistic`` for the unit exponential law read at t = log n.
 
 The exact profile law is a Markov chain on the level counts (Drmota, Random
 Trees, 2009, ch. 6): vertex m joins level l with probability c_{l-1}/m
@@ -61,26 +61,29 @@ class ProfileTrace:
         """Level counts after the first m non-root vertices."""
         if not 0 <= m <= self.n:
             raise ValueError("m outside growth history")
-        k = self.max_level if k_max is None else k_max
+        if (k := self.max_level if k_max is None else k_max) < 1:
+            raise ValueError("need k_max >= 1")
         return _profiles(self.levels[None, : m + 1], k)[0]
 
 
-def _levels(parents: np.ndarray) -> np.ndarray:
-    """Levels (rows, n+1), root in column 0, where vertex m of a row attaches to
-    ``int(parents[:, m-1])``, by pointer doubling: about log2(depth) rounds of
-    two 1-D gathers on flat indices, until every pointer reaches a root (the
-    only vertex whose level step is 0)."""
+def _levels(parents: np.ndarray, depth: int) -> np.ndarray:
+    """Levels (rows, n+1), root in column 0, capped at ``depth + 1``, where vertex m of a
+    row attaches to ``int(parents[:, m-1])``.  A vertex is at level >= k exactly when its
+    parent is at level >= k-1, so from the marks "not a root" each of at most depth + 1
+    rounds adds the marks to the levels and gathers them through the flat parent index."""
     rows, n = parents.shape
-    anc = np.zeros((rows, n + 1), dtype=np.intp)
-    anc[:, 1:] = parents
+    up = np.zeros((rows, n + 1), dtype=np.intp)
+    up[:, 1:] = parents
     del parents  # callers pass a temporary: free it before the rounds
-    anc += np.arange(0, rows * (n + 1), n + 1)[:, None]
-    anc = anc.ravel()
-    lv = np.ones(anc.size, dtype=np.int32)
-    lv[:: n + 1] = 0
-    while (step := lv[anc]).any():
-        lv += step
-        anc = anc[anc]
+    up += np.arange(0, rows * (n + 1), n + 1)[:, None]
+    up = up.ravel()
+    mark = np.ones(up.size, dtype=bool)
+    mark[:: n + 1] = False
+    lv = np.zeros(up.size, dtype=np.int32)
+    for _ in range(depth + 1):
+        lv += mark
+        if not (mark := mark[up]).any():
+            break
     return lv.reshape(rows, n + 1)
 
 
@@ -91,48 +94,42 @@ def _check_block(n: int, rows: int, k_max: int = 1) -> None:
         raise ValueError("need k_max >= 1")
 
 
-def _grow(n: int, rng: np.random.Generator, rows: int, yule: bool):
-    """Epochs cumsum(Exp(1)/m) (rows, n) if ``yule``, else None, then levels of
-    ``rows`` trees from one generator; vertex m attaches to floor(u * m)."""
-    _check_block(n, rows)
+def _parents(n: int, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """Parent arrays (rows, n) of ``rows`` trees: vertex m attaches to floor(u * m)."""
     m = np.arange(1, n + 1, dtype=np.float64)
-    epochs = np.cumsum(rng.exponential(1.0, (rows, n)) / m, axis=1) if yule else None
-    return epochs, _levels(
-        np.multiply(rng.random((rows, n)), m, out=np.empty((rows, n), np.int32), casting="unsafe")
-    )
+    return np.multiply(rng.random((rows, n)), m, out=np.empty((rows, n), np.int32), casting="unsafe")
 
 
 def grow_discrete(n: int, k_max: int, stream: RngStream) -> ProfileTrace:
     """Uniform attachment: vertex m+1 picks its parent uniformly among 1..m."""
     _check_block(n, 1, k_max)
-    levels = _grow(n, stream.generator(), 1, False)[1]
-    return ProfileTrace(levels[0].astype(np.int64), k_max)
+    return ProfileTrace(_levels(_parents(n, stream.generator(), 1), n)[0].astype(np.int64), k_max)
 
 
 def grow_yule(n: int, k_max: int, stream: RngStream) -> ProfileTrace:
     """Continuous-time growth: each vertex births offspring at unit rate.
 
-    Equivalent to uniform attachment with epoch gaps Exp(current size);
-    the recorded epochs make the profile the branching-generation count
-    sampled at tau_n.
-    """
+    Equivalent to uniform attachment with epoch gaps Exp(current size); the
+    epochs make the profile the branching-generation count sampled at tau_n."""
     _check_block(n, 1, k_max)
-    epochs, levels = _grow(n, stream.generator(), 1, True)
-    return ProfileTrace(levels[0].astype(np.int64), k_max, epochs[0])
+    rng = stream.generator()
+    epochs = np.cumsum(rng.exponential(1.0, n) / np.arange(1, n + 1))
+    return ProfileTrace(_levels(_parents(n, rng, 1), n)[0].astype(np.int64), k_max, epochs)
 
 
 def sample_profiles(n: int, k_max: int, stream: RngStream, replicas: int) -> np.ndarray:
     """Final profiles (X_n(1..k_max)) of many independent trees, one row each,
-    drawn as ``grow_discrete`` draws.  The trees grow ``row_chunks(replicas, n)``
-    at a time from the stream's one generator, so the draws are those of one
-    (replicas, n) block while memory stays flat in ``replicas``."""
+    whose levels the kernel finds only up to k_max + 1.  The trees grow
+    ``row_chunks(replicas, n)`` at a time from the stream's one generator, so the
+    draws are those of one (replicas, n) block while memory stays flat in ``replicas``."""
     return profile_rows(stream.generator(), replicas, n, k_max)
 
 
 def profile_rows(rng: np.random.Generator, rows: int, n: int, k_max: int) -> np.ndarray:
     """``sample_profiles`` of ``rows`` trees drawn from the generator ``rng``."""
     _check_block(n, rows, k_max)
-    return np.concatenate([_profiles(_grow(n, rng, r, False)[1], k_max) for r in row_chunks(rows, n)])
+    chunks = row_chunks(rows, n)
+    return np.concatenate([_profiles(_levels(_parents(n, rng, r), k_max), k_max) for r in chunks])
 
 
 def _profiles(levels: np.ndarray, k_max: int) -> np.ndarray:
@@ -161,6 +158,8 @@ def rrt_lil_statistic(xnk, n: int, k: int):
     ``cmj.lil_statistic`` of the unit exponential law at t = log n, so it
     needs n > e^e; ``xnk`` may be one count or an array of counts.
     """
+    if not n > MIN_STAT_N:
+        raise ValueError(f"LIL statistic undefined for n <= e^e = {MIN_STAT_N:.4f}, got n = {n}")
     t = math.log(n)
     return lil_statistic(xnk, k, t, UNIT_EXP, leading_term(k, UNIT_EXP.mean, t))
 

@@ -271,7 +271,7 @@ def check_decomposition(seed: int) -> list[CheckResult]:
 def check_rrt(seed: int) -> list[CheckResult]:
     """Profile law vs enumeration, level-1 law vs Bernoulli sums, mean vs H_n."""
     out = []
-    # (a) total variation of the Yule-grown profile law at n = 6
+    # (a) total variation of the profile law at n = 6, trees drawn by uniform attachment
     exact = rrt.enumerate_profiles(6)
     samples = map_blocks(rrt.profile_rows, RngStream(seed, _offset("c7a")), 100_000, 1000, 6, 6)
     tv = rrt.total_variation(rrt.profile_pmf_from_samples(samples), exact)

@@ -106,6 +106,24 @@ def test_criterion_08_gaussian_variances():
     assert abs(lattice.computed / lattice.target - 1.0) <= 0.05
 
 
+#: The standing findings: a gated result that fails by chance at one seed, with what it computes there.
+STANDING_FINDINGS = [
+    ("c6", 15, "c6_subtree_trend", [0.06981999874545257, 0.02847095220845597, 0.028624026864408732]),
+    ("c7", 37, "c7_level1_chi2", 0.001480958039240603),
+    ("c8", 38, "c8_b1_variance", 343.8840583614222),
+]
+
+
+@pytest.mark.parametrize("name, seed, failing, computed", STANDING_FINDINGS, ids=[f[0] for f in STANDING_FINDINGS])
+def test_standing_findings(name, seed, failing, computed):
+    # exactly the recorded gate fails, every other gated result of the run passes, and the failing value
+    # is the recorded one: a change of draws shows here as a changed finding, not as a moved gate
+    results = verify.run_check(name, seed)
+    gated = {r.name: r for r in results if r.gated}
+    assert len(gated) > 1 and [n for n, r in gated.items() if not r.passed] == [failing]
+    assert gated[failing].computed == computed
+
+
 def test_criterion_09_determinism(monkeypatch):
     start = time.perf_counter()
     monkeypatch.setenv("ITERLOG_THREADS", "1")

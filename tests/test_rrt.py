@@ -43,22 +43,28 @@ def _build_levels(parents_u: np.ndarray) -> np.ndarray:
     return levels
 
 
-@pytest.mark.parametrize("rows, n", [(1, 1), (5, 1), (7, 40), (3, 1000)])
-def test_levels_match_scalar_loop(rows, n):
+@pytest.mark.parametrize("rows, n, depth", [
+    pytest.param(rows, n, depth, id=f"{rows}-{n}" + (f"-depth{depth}" if depth else ""))
+    for rows, n in [(1, 1), (5, 1), (7, 40), (3, 1000)] for depth in (None, 1, 2)
+])
+def test_levels_match_scalar_loop(rows, n, depth):
+    # the kernel caps levels at depth + 1; uncapped (depth n) no level reaches the cap
+    depth = n if depth is None else depth
     u = np.random.default_rng(rows * n).random((rows, n))
-    levels = _levels(u * np.arange(1, n + 1))
+    levels = _levels(u * np.arange(1, n + 1), depth)
     assert levels.shape == (rows, n + 1)
     for row, uniforms in zip(levels, u):
-        assert np.array_equal(row, _build_levels(uniforms))
+        assert np.array_equal(row, np.minimum(_build_levels(uniforms), depth + 1))
 
 
 def test_levels_of_star_and_path():
     n = 2000
-    star = _levels(np.zeros((2, n)))
+    star = _levels(np.zeros((2, n)), n)
     assert star[:, 0].tolist() == [0, 0] and np.all(star[:, 1:] == 1)
-    # vertex m attaches to m - 1: the deepest tree, about log2(n) doubling rounds
-    path = _levels(np.arange(n)[None, :])
+    # vertex m attaches to m - 1: the deepest tree, n + 1 rounds uncapped
+    path = _levels(np.arange(n)[None, :], n)
     assert np.array_equal(path[0], np.arange(n + 1))
+    assert np.array_equal(_levels(np.arange(n)[None, :], 3)[0], np.minimum(np.arange(n + 1), 4))
 
 
 @pytest.mark.parametrize("n", [1, 2, 37, 500])
@@ -109,7 +115,7 @@ def _enumerated_profiles(n: int, k_max: int | None = None) -> dict[tuple, float]
     k = n if k_max is None else min(k_max, n)
     codes = np.arange(math.factorial(n), dtype=np.int64)[:, None]
     m = np.arange(1, n + 1)
-    levels = _levels(codes // np.concatenate(([1], np.cumprod(m[:-1]))) % m)
+    levels = _levels(codes // np.concatenate(([1], np.cumprod(m[:-1]))) % m, n)
     return profile_pmf_from_samples(np.stack([(levels == j).sum(axis=1) for j in range(1, k + 1)], axis=1))
 
 
@@ -158,6 +164,8 @@ def test_every_grower_needs_a_level():
         lambda: grow_yule(5, 0, RngStream(0, 0)),
         lambda: sample_profiles(5, 0, RngStream(0, 0), 3),
         lambda: enumerate_profiles(3, 0),
+        lambda: grow_discrete(5, 2, RngStream(0, 0)).counts_at(5, 0),
+        lambda: grow_discrete(5, 2, RngStream(0, 0)).counts_at(5, -1),
     ):
         with pytest.raises(ValueError, match="need k_max >= 1"):
             call()
@@ -316,6 +324,10 @@ def test_statistic_is_the_branching_statistic_at_log_n():
 def test_statistic_domain():
     with pytest.raises(ValueError, match="undefined"):
         rrt_lil_statistic(1.0, 15, 1)
+    # the caller passes n, so the message names n and its bound e^e, also where log n fails first
+    for n in (15, 1, 0, -3):
+        with pytest.raises(ValueError, match=rf"undefined for n <= e\^e = 15\.1543, got n = {n}$"):
+            rrt_lil_statistic(1.0, n, 1)
     assert math.isfinite(rrt_lil_statistic(1.0, 16, 1))
 
 
@@ -349,7 +361,7 @@ def test_sample_profiles_chunks_draw_one_block():
     assert row_chunks(reps, n) == [1310, 1310, 1310, 70]
     # one-shot: all parent uniforms as one (reps, n) array, then one level kernel
     u = RngStream(71, 5).generator().random((reps, n))
-    levels = _levels((u * np.arange(1, n + 1)).astype(np.int32))
+    levels = _levels((u * np.arange(1, n + 1)).astype(np.int32), n)
     expected = np.stack([(levels == k).sum(axis=1) for k in range(1, k_max + 1)], axis=1)
     got = sample_profiles(n, k_max, RngStream(71, 5), reps)
     assert got.dtype == np.int64
