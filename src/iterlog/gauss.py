@@ -127,6 +127,8 @@ def variance_b2k(fk: FkTable, n: float) -> float:
 def b1k_ensemble(k: int, t: float, h: float, replicas: int, stream: RngStream) -> np.ndarray:
     """Independent values of sum_j (t - x_j)^{k-1} dW_j over the grid cells
     below t, in blocks of BLOCK_ROWS on the substreams of ``stream``."""
+    if k < 1:
+        raise ValueError("need k >= 1")
     _check_step(t, h)
     weights = _weights(lambda lag: lag ** (k - 1), t, h)
     return map_blocks(_weighted_sums, stream, replicas, BLOCK_ROWS, weights, h)

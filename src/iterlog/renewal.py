@@ -280,23 +280,32 @@ def lil_constant(k: int, mu: float, sigma: float) -> float:
 def subadditivity_sweep(table: RenewalTable, k_max: int) -> tuple[int, float]:
     """Exhaustive sweep of V_k(x+h) - V_k(x) <= (V(h)+1) V(x+h)^{k-1} for k <= k_max.
 
-    Returns (violations, minimum slack, right side minus left side) over all
-    grid pairs (x, h) with x + h within the table.
+    Returns (violations, minimum slack), where slack is the right side minus the left side,
+    over all grid pairs (x, h) with x + h within the table.  Cells are evaluated a block of
+    lags at a time, cells past the table count as +inf, and NaN row minima are skipped.
     """
-    n = table.horizon
-    violations = 0
-    min_slack = math.inf
-    v1 = table.level(1)
-    for k in range(1, k_max + 1):
-        vk = table.level(k)
-        power = v1[: n + 1] ** (k - 1)
-        for h in range(0, n + 1):
-            slack = (v1[h] + 1.0) * power[h:] - (vk[h : n + 1] - vk[: n + 1 - h])
-            m = slack.min()
-            min_slack = min(min_slack, m)
-            if not m >= 0.0:  # a NaN minimum counts its row too
-                violations += int((slack < 0.0).sum())
-    return violations, float(min_slack)
+    from numpy.lib.stride_tricks import sliding_window_view
+    from .dist import BLOCK_DRAWS
+    if k_max < 1:
+        raise ValueError("need k_max >= 1")
+    table.level(k_max)  # refuses a level past the table
+    n, v1 = table.horizon, table.level(1)
+    lags = min(n + 1, max(1, BLOCK_DRAWS // (k_max * (n + 1))))
+    # rows V_1^{k-1}, each by a scalar exponent (an integer array rounds differently), and V_k
+    padded = np.zeros((2, k_max, n + lags))
+    padded[:, :, : n + 1] = [[v1 ** (k - 1) for k in range(1, k_max + 1)], table.values[:k_max]]
+    ahead = sliding_window_view(padded, lags, axis=2).transpose(0, 1, 3, 2)  # [i, k - 1, j, y]: site y + j
+    past = np.add.outer(np.arange(lags), np.arange(lags - 1)) >= lags - 1  # x + h > n, a full block's end
+    row_min, violations = np.empty((k_max, n + 1)), 0
+    for h0 in range(0, n + 1, lags):
+        b, width = min(lags, n + 1 - h0), n + 1 - h0
+        slack = (v1[h0 : h0 + b, None] + 1.0) * ahead[0, :, :b, h0:]
+        slack -= ahead[1, :, :b, h0:] - padded[1, :, None, :width]
+        np.copyto(slack[:, :, width - b + 1 :], np.inf, where=past[:b, lags - b :])
+        if not slack.min(axis=2, out=row_min[:, h0 : h0 + b]).min() >= 0.0:  # a NaN row counts too
+            violations += int(np.count_nonzero(slack < 0.0))
+    row_min = row_min[~np.isnan(row_min)]  # in (k, h) order; argmin keeps the first of equal minima
+    return violations, float(row_min[row_min.argmin()]) if row_min.size else math.inf
 
 
 def write_table_csv(table: RenewalTable, path: str) -> None:

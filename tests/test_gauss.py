@@ -276,6 +276,9 @@ def test_bm_path_validation():
         with pytest.raises(ValueError, match="horizon"):
             b2k(path, FkTable(2, ExponentialRenewal()), t)
     assert b2k(path, FkTable(2, ExponentialRenewal()), 1.0) == 0.0
+    for k in (0, -1):  # (t - x)^{k-1} would weigh by a negative power
+        with pytest.raises(ValueError, match=r"need k >= 1"):
+            b1k_ensemble(k, 1.0, 0.1, 4, RngStream(0, 0))
 
 
 def test_weighted_sums_chunks_draw_one_block():

@@ -279,6 +279,11 @@ def test_subadditivity_examples():
     # 100 more at site 20: the pairs x + h = 20 keep h^2/2 + h/2 - 80, below zero for h = 1..12
     table.values[1, 20] += 100.0
     assert subadditivity_sweep(table, 2) == (12, -79.0)
+    for k_max in (0, -1):
+        with pytest.raises(ValueError, match="need k_max >= 1"):
+            subadditivity_sweep(table, k_max)
+    with pytest.raises(ValueError, match=r"level 3 not in table \(K=2\)"):
+        subadditivity_sweep(table, 3)
 
 
 def _sweep_reference(table: RenewalTable, k_max: int) -> tuple[int, float]:
@@ -300,7 +305,15 @@ def _sweep_reference(table: RenewalTable, k_max: int) -> tuple[int, float]:
     return violations, float(min_slack)
 
 
-def test_subadditivity_sweep_matches_reference():
+def _unit_table(n: int, bump: float = 0.0) -> RenewalTable:
+    """V_1(m) = m and V_2(m) = C(m, 2) on m = 0..n, with ``bump`` added at V_2(n)."""
+    m = np.arange(n + 1.0)
+    table = RenewalTable(1.0, np.array([m, m * (m - 1.0) / 2.0]), 1.0)
+    table.values[1, n] += bump
+    return table
+
+
+def test_subadditivity_sweep_matches_reference(monkeypatch):
     broken = RenewalTable(
         1.0,
         np.array([[0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.0, 9.0, 10.0, 40.0, 41.0]]),
@@ -317,6 +330,19 @@ def test_subadditivity_sweep_matches_reference():
             got = subadditivity_sweep(table, k_max)
             assert got == _sweep_reference(table, k_max)
             assert got[0] == 0
+    # a NaN at V_2(5): rows h <= 5 reach it, so their minimum is NaN and leaves
+    # the running one alone, though their negative cells count; rows h >= 6
+    # meet it only past the table, so their minimum, -69 at h = 6, stands
+    nan_table = _unit_table(10, 100.0)
+    nan_table.values[1, 5] = np.nan
+    edges = [nan_table, _unit_table(0), _unit_table(1), _unit_table(40, 100.0)]
+    # BLOCK_DRAWS sets the lags a block sweeps: one, a ragged split, a few, or the whole table
+    for budget in (1, 7, 64, iterlog.dist.BLOCK_DRAWS):
+        monkeypatch.setattr(iterlog.dist, "BLOCK_DRAWS", budget)
+        assert subadditivity_sweep(nan_table, 2) == _sweep_reference(nan_table, 2) == (9, -69.0)
+        for table in edges:
+            for k_max in (1, 2):
+                assert subadditivity_sweep(table, k_max) == _sweep_reference(table, k_max)
 
 
 def test_subadditivity_sweep_small():
