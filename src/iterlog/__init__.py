@@ -9,14 +9,13 @@ from .dist import (
     RngStream,
     SmoothLaw,
     geometric_lattice,
-    lattice_span_check,
     parse_law,
 )
 from .renewal import (
-    AsymptoticConstants,
     ExponentialRenewal,
     RenewalTable,
     convolve_levels,
+    expansion_constants,
     leading_term,
     lil_constant,
     perturbed_table,

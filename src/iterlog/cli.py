@@ -158,10 +158,7 @@ def _cmd_renewal(cfg: argparse.Namespace) -> int:
     if cfg.fmt == "json":
         m = law.moments()
         eta_mean = eta.moments().mean if eta else None
-        consts = [
-            renewal.AsymptoticConstants.from_moments(k, m, span=law.span, eta_mean=eta_mean).to_dict()
-            for k in range(1, cfg.levels + 1)
-        ]
+        consts = [renewal.expansion_constants(k, m, law.span, eta_mean) for k in range(1, cfg.levels + 1)]
         _emit(_json({"constants": consts}), cfg.out)
         return 0
     if not cfg.out:
@@ -239,6 +236,7 @@ def _cmd_gauss(cfg: argparse.Namespace) -> int:
         raise ValueError("the weighted integrals need k >= 2")
     if cfg.fmt == "json" and cfg.replicas < 2:
         raise ValueError("ensemble needs at least two replicas")
+    gauss.check_step(t, h)  # before a lattice table of t / span sites is built
     levels = renewal.ExponentialRenewal()
     if cfg.law:
         law = parse_law(cfg.law)

@@ -59,20 +59,6 @@ class Moments:
         return math.sqrt(max(self.variance, 0.0))
 
 
-def lattice_span_check(support: "list[int] | np.ndarray") -> bool:
-    """True iff a set of positive support indices has gcd 1.
-
-    gcd > 1 means the law actually lives on a coarser lattice, so the
-    nominal span is not maximal.
-    """
-    indices = [int(m) for m in support]
-    if not indices:
-        raise ValueError("empty law")
-    if any(m <= 0 for m in indices):
-        raise ValueError("support indices must be positive")
-    return math.gcd(*indices) == 1
-
-
 @dataclass(frozen=True, eq=False)
 class LatticeLaw:
     """Pmf on a positive lattice: p[m-1] = P{value = m*span}, m = 1..M."""
@@ -104,7 +90,7 @@ class LatticeLaw:
         support = np.nonzero(pmf)[0] + 1
         if support.size == 0:
             raise ValueError("empty law")
-        if not lattice_span_check(support):
+        if math.gcd(*support.tolist()) != 1:  # the law lives on a coarser lattice
             raise ValueError("span is not maximal: support indices share a common factor")
         # sampling tables, built once: every site, the cdf that indexes it and
         # its guide; the cdf is inf from the last site with mass on, so a
@@ -119,8 +105,8 @@ class LatticeLaw:
     def with_span(self, span: float) -> "LatticeLaw":
         """This pmf on the lattice of ``span``, keeping the checked pmf and its
         sampling tables, which do not depend on the span."""
-        if span <= 0:
-            raise ValueError("span must be positive")
+        if not 0 < span < math.inf:
+            raise ValueError("span must be finite and positive")
         law = copy.copy(self)
         object.__setattr__(law, "span", span)
         object.__setattr__(law, "support", span * np.arange(1, self.pmf.size + 1, dtype=np.float64))

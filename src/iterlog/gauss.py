@@ -29,14 +29,15 @@ class BmPath:
     values: np.ndarray
 
 
-def _check_step(t_max: float, h: float) -> None:
-    if not (h > 0 and t_max >= h):
-        raise ValueError("need h > 0 and t_max >= h")
+def check_step(t_max: float, h: float) -> None:
+    """Refuse a path step h and horizon t_max unless 0 < h <= t_max < inf."""
+    if not 0 < h <= t_max < math.inf:
+        raise ValueError("need h > 0 and t_max >= h, both finite")
 
 
 def sample_bm(t_max: float, h: float, stream: RngStream) -> BmPath:
     """Cumulative sum of centered Gaussian increments of variance h."""
-    _check_step(t_max, h)
+    check_step(t_max, h)
     rng = stream.generator()
     steps = int(round(t_max / h))
     w = np.empty(steps + 1, dtype=np.float64)
@@ -129,14 +130,14 @@ def b1k_ensemble(k: int, t: float, h: float, replicas: int, stream: RngStream) -
     below t, in blocks of BLOCK_ROWS on the substreams of ``stream``."""
     if k < 1:
         raise ValueError("need k >= 1")
-    _check_step(t, h)
+    check_step(t, h)
     weights = _weights(lambda lag: lag ** (k - 1), t, h)
     return map_blocks(_weighted_sums, stream, replicas, BLOCK_ROWS, weights, h)
 
 
 def b2k_ensemble(fk: FkTable, t: float, h: float, replicas: int, stream: RngStream) -> np.ndarray:
     """Independent ``b2k`` values, in blocks of BLOCK_ROWS on the substreams of ``stream``."""
-    _check_step(t, h)
+    check_step(t, h)
     _check_grid(fk, h, t)
     return map_blocks(_weighted_sums, stream, replicas, BLOCK_ROWS, _weights(fk.evaluate, t, h), h)
 

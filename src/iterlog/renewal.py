@@ -3,13 +3,14 @@
 Builds the level tables V_k(nd) and their perturbed variants V*_k by one
 recurrence, V_k (1 - P) = Q V_{k-1} from V_0 = 1/(1 - z), with Q the pmf of
 the perturbation law eta or the step law's own P; the closed forms the checks
-compare them with (the leading term, the expansion constants, the LIL
-normalization) and the subadditivity sweep.  Sums add nonnegative doubles in
-one fixed order, independent of BLAS threads, integer exact for deterministic
-laws; against exact integers the tables, standard or perturbed, are within
-3.4e-15 relative for n <= 1000 and 1.9e-13 for n <= 16000.  The renewal
-sequence u_n, ``perturbed_table`` and the Stieltjes ``convolve_levels`` remain
-for the benchmark harness only.
+compare them with (the leading term, the LIL normalization, and
+``expansion_constants``, the dict of a level's constants that check c3 reads
+and ``renewal --format json`` prints) and the subadditivity sweep.  Sums add
+nonnegative doubles in one fixed order, independent of BLAS threads, integer
+exact for deterministic laws; against exact integers the tables, standard or
+perturbed, are within 3.4e-15 relative for n <= 1000 and 1.9e-13 for
+n <= 16000.  The renewal sequence u_n, ``perturbed_table`` and the
+Stieltjes ``convolve_levels`` remain for the benchmark harness only.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ class RenewalTable:
     def at(self, k: int, t):
         """V_k(t) for t in [0, horizon*d], a float or an array; a t within a
         relative 1e-9 below a site is on it."""
-        sites = lattice_site(np.divide(t, self.span))
-        if np.any(sites < 0) or np.any(sites > self.horizon):
+        with np.errstate(invalid="ignore"):  # a NaN or infinite t is a NaN site, refused below
+            sites = lattice_site(np.divide(t, self.span))
+        if not np.all((sites >= 0) & (sites <= self.horizon)):
             raise ValueError(f"t={t} outside table horizon")
         return self.level(k)[sites.astype(np.int64)]
 
@@ -175,87 +177,37 @@ class ExponentialRenewal:
         return leading_term(k, self.mu, t)
 
 
-@dataclass(frozen=True)
-class AsymptoticConstants:
-    """Closed-form constants for one generation index k.
+def expansion_constants(
+    k: int, m: Moments, span: float | None = None, eta_mean: float | None = None
+) -> dict:
+    """Closed-form constants for generation index k of a step law with moments m.
 
     a_k   -- normalization of the iterated-logarithm statistic,
-             sigma^{-1} mu^{k+1/2} (k-1)! sqrt(2k-1)
+             sigma^{-1} mu^{k+1/2} (k-1)! sqrt(2k-1); left out for a
+             degenerate law (variance 0), which has none
     b     -- second-order constant of the nonlattice expansion,
              E xi^2/(2 mu^2) - 1
-    c_k   -- lattice second-order constant,
-             d/(2 mu) + k (E xi^2/(2 mu^2) - E eta/mu).
+    d_lim -- given a span d: limit of U(nd) - nd/mu, d/(2 mu) + E xi^2/(2 mu^2)
+    c_k   -- given a span d and a perturbation mean E eta: lattice
+             second-order constant, d/(2 mu) + k (E xi^2/(2 mu^2) - E eta/mu).
              The induction behind it telescopes C_{k+1} = C_1 + C_k - d/(2 mu)
              (Faulhaber gives sum_{r<n} r^j - n^{j+1}/(j+1) = -n^j/2 + O(n^{j-1}),
              note the sign), so the d-coefficient stays 1 for every k; the
              exact tables pin this down, e.g. the unit-step law has
              V_k(n) = C(n, k) and normalized level-2 residual -1/2.
-    d_lim -- limit of U(nd) - nd/mu: d/(2 mu) + E xi^2/(2 mu^2)
     """
-
-    k: int
-    mu: float
-    second_moment: float
-    sigma2: float
-    span: float | None = None
-    eta_mean: float | None = None
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("generation index must be >= 1")
-        if self.mu <= 0:
-            raise ValueError("mean must be positive")
-        if self.sigma2 < 0:
-            raise ValueError("variance must be nonnegative")
-
-    @classmethod
-    def from_moments(
-        cls,
-        k: int,
-        m: Moments,
-        span: float | None = None,
-        eta_mean: float | None = None,
-    ) -> "AsymptoticConstants":
-        return cls(k, m.mean, m.second_moment, m.variance, span, eta_mean)
-
-    @property
-    def a_k(self) -> float:
-        return lil_constant(self.k, self.mu, math.sqrt(self.sigma2))
-
-    @property
-    def b(self) -> float:
-        return self.second_moment / (2.0 * self.mu**2) - 1.0
-
-    @property
-    def c_k(self) -> float:
-        if self.span is None or self.eta_mean is None:
-            raise ValueError("lattice constant needs a span and a perturbation mean")
-        return self.span / (2.0 * self.mu) + self.k * (
-            self.second_moment / (2.0 * self.mu**2) - self.eta_mean / self.mu
-        )
-
-    @property
-    def d_lim(self) -> float:
-        if self.span is None:
-            raise ValueError("lattice limit needs a span")
-        return self.span / (2.0 * self.mu) + self.second_moment / (2.0 * self.mu**2)
-
-    def to_dict(self) -> dict:
-        out = {
-            "k": self.k,
-            "mu": self.mu,
-            "second_moment": self.second_moment,
-            "sigma2": self.sigma2,
-            "a_k": self.a_k,
-            "b": self.b,
-        }
-        if self.span is not None:
-            out["span"] = self.span
-            out["d_lim"] = self.d_lim
-            if self.eta_mean is not None:
-                out["eta_mean"] = self.eta_mean
-                out["c_k"] = self.c_k
-        return out
+    mu, m2 = m.mean, m.second_moment
+    out = {"k": k, "mu": mu, "second_moment": m2, "sigma2": m.variance}
+    if m.variance > 0:
+        out["a_k"] = lil_constant(k, mu, math.sqrt(m.variance))
+    out["b"] = m2 / (2.0 * mu**2) - 1.0
+    if span is not None:
+        out["span"] = span
+        out["d_lim"] = span / (2.0 * mu) + m2 / (2.0 * mu**2)
+        if eta_mean is not None:
+            out["eta_mean"] = eta_mean
+            out["c_k"] = span / (2.0 * mu) + k * (m2 / (2.0 * mu**2) - eta_mean / mu)
+    return out
 
 
 def leading_term(k: int, mu: float, t):

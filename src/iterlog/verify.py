@@ -162,8 +162,7 @@ def check_lattice_second_order(seed: int) -> list[CheckResult]:
     resid1 = float(np.max(np.abs(table.level(1) - grid / mu)))
     ok1 = resid1 <= 1e-9
 
-    const = renewal.AsymptoticConstants.from_moments(2, m, span=law.span, eta_mean=mu)
-    c2 = const.c_k
+    c2 = renewal.expansion_constants(2, m, law.span, mu)["c_k"]
     normalized = (table.level(2)[n] - renewal.leading_term(2, mu, n)) * mu / n
     dev2 = abs(normalized / c2 - 1.0)
     ok2 = dev2 <= 0.02

@@ -91,6 +91,32 @@ def test_renewal_json_refuses_what_a_table_refuses(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--law", "geom:p=0.5"], "c9cebeec280c696a31afc4c514b3902af56d1b3fe30f3e53c917bdc6d59b8358"),
+        (["--law", "lattice:d=0.5;p=0.2,0.5,0.3", "--eta", "lattice:d=0.5;p=0.6,0,0.4"],
+         "f195a67115f61454072874ac00e4b889c45203cc91dee4a38f4206875193ca86"),
+    ],
+    ids=["geom", "lattice_eta"],
+)
+def test_renewal_constants_bytes(argv, digest, capsys):
+    # sha256 of stdout: every constant keeps its key, its order and its float bits
+    assert run(["renewal"] + argv + ["--K", "3", "--format", "json"]) == 0
+    assert hashlib.sha256(_capture(capsys).encode()).hexdigest() == digest
+
+
+def test_renewal_constants_of_a_degenerate_law(capsys):
+    # the unit step has no LIL normalization, as ``moments`` has no ``a``; b, d_lim and c_k are defined
+    unit = "lattice:d=1;p=1"
+    assert run(["renewal", "--law", unit, "--eta", unit, "--K", "2", "--format", "json"]) == 0
+    consts = json.loads(_capture(capsys))["constants"]
+    keys = ["k", "mu", "second_moment", "sigma2", "b", "span", "d_lim", "eta_mean", "c_k"]
+    assert [list(c) for c in consts] == [keys, keys]
+    assert consts[0]["d_lim"] == 1.0
+    assert consts[1]["c_k"] == -0.5  # the unit-step level-2 residual
+
+
 def test_simulate_deterministic_counts(capsys):
     code = run(["simulate", "--law", "lattice:d=1;p=1", "--K", "2", "--t", "5.5"])
     assert code == 0
@@ -444,9 +470,13 @@ def test_usage_errors(capsys):
     assert run(["verify", "--checks", "zzz"]) == 2
     assert run(["verify", "--checks", ""]) == 2  # an empty list names no check; it is not the fast suite
     assert run(["verify", "--suite", "full", "--checks", "c1"]) == 2  # --checks would drop the suite
+    assert run(["gauss", "--law", "lattice:d=1;p=1", "--t", "inf"]) == 2  # refused before a table of t sites
+    assert run(["gauss", "--t", "inf"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--checks ignores --suite;" in captured.err
+    assert captured.err.count("need h > 0 and t_max >= h") == 2
+    assert "Traceback" not in captured.err
 
 
 def test_config_file_round_trip(tmp_path, capsys):

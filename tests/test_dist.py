@@ -11,7 +11,6 @@ from iterlog.dist import (
     RngStream,
     SmoothLaw,
     geometric_lattice,
-    lattice_span_check,
     map_blocks,
     parse_law,
 )
@@ -50,11 +49,13 @@ def test_point_mass_moments():
 
 
 def test_span_check():
-    assert lattice_span_check([1, 2]) is True
-    assert lattice_span_check([2, 4]) is False
-    assert lattice_span_check([2, 3]) is True
-    with pytest.raises(ValueError, match="empty law"):
-        lattice_span_check([])
+    # the constructor refuses a support whose indices share a factor > 1
+    assert LatticeLaw(1.0, np.array([0.5, 0.5])).moments().mean == 1.5  # support {1, 2}
+    assert LatticeLaw(1.0, np.array([0.0, 0.5, 0.5])).moments().mean == 2.5  # support {2, 3}
+    with pytest.raises(ValueError, match="not maximal"):
+        LatticeLaw(1.0, np.array([0.0, 0.5, 0.0, 0.5]))  # support {2, 4}
+    with pytest.raises(ValueError, match="nonempty"):
+        LatticeLaw(1.0, np.array([]))
 
 
 def test_lattice_law_validation():
@@ -225,8 +226,9 @@ def test_with_span_is_the_law_built_on_that_span(law):
     moved, fresh = law.with_span(3.0), LatticeLaw(3.0, law.pmf)
     assert moved == fresh and np.array_equal(moved.support, fresh.support) and law.span != 3.0
     assert np.array_equal(moved.sample(RngStream(2, 0).generator(), 5000), fresh.sample(RngStream(2, 0).generator(), 5000))
-    with pytest.raises(ValueError, match="span"):
-        law.with_span(0.0)
+    for span in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="span must be finite and positive"):
+            law.with_span(span)
 
 
 def test_guide_table_size():
