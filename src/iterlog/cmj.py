@@ -25,7 +25,8 @@ import numpy as np
 from .dist import BLOCK_DRAWS, LatticeLaw, Law, Moments, RngStream, SmoothLaw, map_blocks
 from .renewal import ExponentialRenewal, RenewalTable, lattice_site, leading_term, lil_constant
 
-E = math.e
+#: Most expected births per replica, over all generations, that a SimConfig accepts.
+POPULATION_CAP = 1e7
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class SimConfig:
     grid: np.ndarray | None = None
     seed: int = 0
     replicas: int = 1
-    population_cap: float = 1e7
     stream_offset: int = 0
 
     def __post_init__(self):
@@ -49,11 +49,14 @@ class SimConfig:
             raise ValueError("need at least one generation")
         if self.replicas < 1:
             raise ValueError("need at least one replica")
-        expected = _expected_births(self, self.levels)
-        if expected > self.population_cap:
+        try:
+            expected = _expected_births(self, self.levels)
+        except OverflowError:  # t**k past the float range: refused like t = inf
+            expected = math.inf
+        if expected > POPULATION_CAP:
             raise ValueError(
                 f"horizon/generation cap: expected {expected:.3g} births per replica "
-                f"exceeds the cap {self.population_cap:.3g}"
+                f"exceeds the cap {POPULATION_CAP:.3g}"
             )
         if self.grid is not None:
             grid = np.asarray(self.grid, dtype=np.float64)
@@ -249,7 +252,7 @@ def lil_statistic(yk, k: int, t: float, m: Moments, center: float):
     [-1, 1]; the tree profile statistic is this one at t = log n.  ``yk``
     may be one count or an array of counts.
     """
-    if t <= E:
+    if t <= math.e:
         raise ValueError("LIL statistic undefined for t <= e")
     a_k = lil_constant(k, m.mean, m.sigma)
     denom = math.sqrt(2.0 * _power(t, 2 * k - 1) * math.log(math.log(t)))
@@ -361,7 +364,7 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> MonteCarloSumm
     if m.variance > 0:
         columns = [(counts[:, k - 1], k, t, m, centers[k - 1]) for k in ks]
         clt = np.column_stack([clt_statistic(*c) for c in columns])
-        if t > E:
+        if t > math.e:
             lil = np.column_stack([lil_statistic(*c) for c in columns])
     return MonteCarloSummary(config, counts, means, variances, clt, lil, centers)
 

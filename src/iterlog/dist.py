@@ -29,7 +29,6 @@ import copy
 import ctypes
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -312,6 +311,7 @@ def map_blocks(
     workers = resolve_workers(workers)
     if workers <= 1 or total < 64 or len(blocks) < 2:
         return run(blocks)
+    from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing and socket
     step = -(-len(blocks) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(run, [blocks[b : b + step] for b in blocks[::step]])))
@@ -354,8 +354,9 @@ def parse_law(spec: str) -> Law:
         if family == "geom":
             return geometric_lattice(float(kv["p"]), float(kv.get("d", 1.0)))
         return SmoothLaw(family, {key: float(kv[key]) for key in keys})
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad law spec {spec!r}: {exc}") from exc
+    except (KeyError, ValueError) as exc:  # a KeyError names a key the family needs
+        why = f"{family} law needs {exc.args[0]}=" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"bad law spec {spec!r}: {why}") from exc
 
 
 def parse_kv(text: str) -> dict:

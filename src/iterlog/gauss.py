@@ -90,7 +90,7 @@ def b2k(path: BmPath, fk: FkTable, t: float) -> float:
     the step grid must sit on the path grid."""
     _check_grid(fk, path.h, t)
     # -lattice_site(-x) is the number of cells that cover [0, t]
-    if t < 0 or -lattice_site(-t / path.h) > path.values.size - 1:
+    if not 0 <= t < math.inf or -lattice_site(-t / path.h) > path.values.size - 1:
         raise ValueError("t outside path horizon")
     g = _weights(fk.evaluate, t, path.h)
     return float(np.dot(g, np.diff(path.values[: g.size + 1])))
@@ -100,28 +100,28 @@ def variance_b2k(fk: FkTable, n: float) -> float:
     """integral of f_k^2 over [0, n]: exact per lattice cell, zero for exponential.
 
     On [md, (m+1)d) the integrand is (v_m - x^{k-1}/c)^2 with constant v_m,
-    so each cell integrates in closed form.
+    so each cell, the last one cut at n, integrates in closed form.
     """
-    if n < 0:
-        raise ValueError("upper limit must be nonnegative")
+    if not 0 <= n < math.inf:
+        raise ValueError("upper limit must be finite and nonnegative")
     table = fk.levels
     if isinstance(table, ExponentialRenewal):
         return 0.0
     d = table.span
-    cells = int(round(n / d))
-    if abs(cells * d - n) > 1e-9 * max(1.0, n):
-        raise ValueError("upper limit must sit on the lattice grid")
+    cells = int(-lattice_site(-n / d))  # the cells that cover [0, n]
     if cells > table.horizon:
         raise ValueError("table does not cover [0, n]")
     k = fk.k
     c = math.factorial(k - 1) * table.mu ** (k - 1)
-    m = np.arange(cells, dtype=np.float64)
-    lo = m * d
+    lo = np.arange(cells, dtype=np.float64) * d
     hi = lo + d
+    width = np.full(cells, d)
+    if lattice_site(n / d) < cells:  # n inside the last cell
+        hi[-1], width[-1] = n, n - lo[-1]
     v = table.level(k - 1)[:cells]
     a = (hi**k - lo**k) / k
     b = (hi ** (2 * k - 1) - lo ** (2 * k - 1)) / (2 * k - 1)
-    cell = v * v * d - 2.0 * v * a / c + b / (c * c)
+    cell = v * v * width - 2.0 * v * a / c + b / (c * c)
     return math.fsum(cell.tolist())
 
 

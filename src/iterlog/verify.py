@@ -374,7 +374,6 @@ def lil_extrema_series(seed: int, replicas: int = 100):
         grid=grid,
         seed=seed,
         replicas=replicas,
-        population_cap=2e7,
         stream_offset=_offset("r_lil"),
     )
     m = config.law.moments()

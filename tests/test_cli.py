@@ -344,6 +344,10 @@ def test_gauss_json(capsys):
     out = json.loads(_capture(capsys))
     assert out["b1_variance_target"] == pytest.approx(1000.0 / 3.0)
     assert out["b2_variance"] == 0.0  # default exponential weight vanishes
+    # a t inside a lattice cell ends the last cell; for geom(1/2), f_2(x) = -frac(x) / 2
+    assert run(["gauss", "--law", "geom:p=0.5", "--t", "10.5", "--h", "0.5", "--replicas", "4",
+                "--format", "json"]) == 0
+    assert json.loads(_capture(capsys))["b2_variance_target"] == pytest.approx((10 + 0.5**3) / 12)
 
 
 def test_gauss_step_and_replica_errors(capsys):
@@ -447,13 +451,14 @@ def test_scipy_stats_loaded_only_by_commands_that_need_it():
     code = (
         "import contextlib, io, sys\n"
         "from iterlog import cli\n"
-        "def scipy_modules():\n"
-        "    return [m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules]\n"
-        "assert not scipy_modules(), scipy_modules()\n"
+        "def lazy_modules():\n"
+        "    names = ('scipy.stats', 'scipy.signal', 'concurrent.futures.process')\n"
+        "    return [m for m in names if m in sys.modules]\n"
+        "assert not lazy_modules(), lazy_modules()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.run(['mc', '--law', 'exp:rate=1', '--K', '2', '--t', '5', '--replicas', '4']) == 0\n"
         "    assert cli.run(['rrt', '--n', '30', '--K', '2', '--replicas', '3']) == 0\n"
-        "assert not scipy_modules(), scipy_modules()\n"
+        "assert not lazy_modules(), lazy_modules()\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -472,11 +477,24 @@ def test_usage_errors(capsys):
     assert run(["verify", "--suite", "full", "--checks", "c1"]) == 2  # --checks would drop the suite
     assert run(["gauss", "--law", "lattice:d=1;p=1", "--t", "inf"]) == 2  # refused before a table of t sites
     assert run(["gauss", "--t", "inf"]) == 2
+    # expected births past the float range are past the population cap
+    assert run(["mc", "--law", "exp:rate=1", "--t", "1e300", "--replicas", "2"]) == 2
+    assert run(["simulate", "--law", "exp:rate=1", "--t", "1e200"]) == 2
+    assert run(["gauss", "--k", "3", "--t", "1e300", "--h", "1e299", "--format", "json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--checks ignores --suite;" in captured.err
     assert captured.err.count("need h > 0 and t_max >= h") == 2
+    assert captured.err.count("expected inf births per replica exceeds the cap") == 2
+    assert "B1 variance target t^5 overflows a float" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("spec, key", [("exp:", "rate"), ("geom:", "p"), ("lattice:;p=1", "d")])
+def test_law_spec_names_a_missing_key(capsys, spec, key):
+    assert run(["moments", "--law", spec]) == 2
+    family = spec.partition(":")[0]
+    assert capsys.readouterr().err == f"iterlog: error: bad law spec {spec!r}: {family} law needs {key}=\n"
 
 
 def test_config_file_round_trip(tmp_path, capsys):

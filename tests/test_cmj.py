@@ -351,7 +351,7 @@ def test_block_size_from_config(config, block):
 def test_block_size_near_population_cap():
     # lattice walks materialize every level: about 9.9e6 births per replica
     config = SimConfig(GEOM, levels=2, horizon=8900.0, seed=0)
-    assert config.population_cap == 1e7
+    assert cmj.POPULATION_CAP == 1e7
     assert cmj._block_size(config) == 1
     # so does an exponential walk with a grid (no Poisson last generation)
     grid = np.array([0.0, 4400.0])

@@ -145,9 +145,10 @@ def test_variance_b2k_matches_riemann_oracle():
     table = renewal_table(GEOM, 2, 30)
     for k in (2, 3):
         fk = FkTable(k, table)
-        xs = np.arange(0.0, 30.0, 1e-4)
-        riemann = float(np.sum(fk.evaluate(xs) ** 2) * 1e-4)
-        assert variance_b2k(fk, 30.0) == pytest.approx(riemann, rel=1e-3)
+        for n in (30.0, 10.5):  # on the grid, and inside a cell, which then ends at n
+            xs = np.arange(0.0, n, 1e-4)
+            riemann = float(np.sum(fk.evaluate(xs) ** 2) * 1e-4)
+            assert variance_b2k(fk, n) == pytest.approx(riemann, rel=1e-3)
 
 
 def test_b2_ensemble_mean_and_variance():
@@ -272,7 +273,7 @@ def test_bm_path_validation():
     with pytest.raises(ValueError):
         sample_bm(0.5, 1.0, RngStream(0, 0))
     path = BmPath(0.1, np.zeros(11))
-    for t in (2.0, 1.05, -0.1):
+    for t in (2.0, 1.05, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="horizon"):
             b2k(path, FkTable(2, ExponentialRenewal()), t)
     assert b2k(path, FkTable(2, ExponentialRenewal()), 1.0) == 0.0

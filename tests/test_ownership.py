@@ -59,11 +59,9 @@ PERFBENCH_ONLY = {
 
 def perfbench_only_uses(tree: ast.AST, module: str) -> list[str]:
     """``PERFBENCH_ONLY`` names that a module imports, reads or calls outside
-    the module defining them; ``__init__`` may import them to export them."""
+    the module defining them."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and module == "__init__.py":
-            continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             found += [alias.name for alias in node.names]
         elif isinstance(node, (ast.Name, ast.Attribute)):
@@ -104,14 +102,14 @@ def test_no_module_uses_a_name_kept_only_for_perfbench():
     and check c3 their perturbed tables through ``renewal_table(law, K, N, eta)``,
     so nothing in the package uses the single-replica samplers or the
     ``renewal_sequence`` -> ``perturbed_table`` -> ``convolve_levels`` chain.
-    They are still defined and exported only because the benchmark harness
+    They are still defined only because the benchmark harness
     (``perfbench/`` and its tests) calls them; ROADMAP items 2 and 6 delete them
     once item 1 moves the harness off them."""
     uses = {p.name: perfbench_only_uses(_tree(p), p.name) for p in MODULES}
     assert {name: found for name, found in uses.items() if found} == {}
     bad = ast.parse("from .rrt import grow_yule\npath = gauss.sample_bm(1.0, 0.1, s)\nb2k(path, fk, 1.0)\n")
     assert perfbench_only_uses(bad, "cli.py") == ["grow_yule", "sample_bm", "b2k"]
-    assert perfbench_only_uses(bad, "__init__.py") == ["sample_bm", "b2k"]
+    assert perfbench_only_uses(bad, "__init__.py") == ["grow_yule", "sample_bm", "b2k"]
     assert perfbench_only_uses(bad, "gauss.py") == ["grow_yule"]
     chain = ast.parse("t = renewal.convolve_levels(perturbed_table(renewal_sequence(law, n), d, eta, n, mu), 2)\n")
     assert sorted(perfbench_only_uses(chain, "verify.py")) == ["convolve_levels", "perturbed_table", "renewal_sequence"]
