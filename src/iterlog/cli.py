@@ -221,11 +221,12 @@ def _cmd_rrt(cfg: argparse.Namespace) -> int:
     if cfg.replicas < 1:
         raise ValueError("need replicas >= 1")
     n = cfg.n
+    profiles = rrt.sample_profiles(n, cfg.levels, RngStream(cfg.seed, 0), cfg.replicas)
+    stats = [map(_G17, rrt.rrt_lil_statistic(x, n, k).tolist()) if n > rrt.MIN_STAT_N else [""] * x.size
+             for k, x in enumerate(profiles.T, 1)]  # one call per level
     lines = ["n,k,X,statistic"]
-    for counts in rrt.sample_profiles(n, cfg.levels, RngStream(cfg.seed, 0), cfg.replicas):
-        for k, x in enumerate(counts.tolist(), 1):
-            stat = _G17(rrt.rrt_lil_statistic(float(x), n, k)) if n > rrt.MIN_STAT_N else ""
-            lines.append(f"{n},{k},{x},{stat}")
+    for counts, row in zip(profiles.tolist(), zip(*stats)):
+        lines += [f"{n},{k},{x},{stat}" for k, (x, stat) in enumerate(zip(counts, row), 1)]
     _emit("\n".join(lines) + "\n", cfg.out)
     return 0
 

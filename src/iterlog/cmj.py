@@ -313,17 +313,21 @@ class MonteCarloSummary:
             "levels": self.config.levels,
             "t": self.config.horizon,
             "seed": self.config.seed,
-            "means": [float(x) for x in self.means],
-            "variances": [float(x) for x in self.variances],
-            "centers": [float(x) for x in self.centers],
+            "means": self.means.tolist(),
+            "variances": self.variances.tolist(),
+            "centers": self.centers.tolist(),
         }
         if self.clt is not None:
-            d["clt_mean"] = [float(x) for x in self.clt.mean(axis=0)]
-            d["clt_variance"] = [float(x) for x in self.clt.var(axis=0, ddof=1)]
+            d["clt_mean"], d["clt_variance"] = (x.tolist() for x in _column_moments(self.clt))
             d["clt_quantiles"] = self.quantiles()
         if self.lil is not None:
-            d["lil_mean"] = [float(x) for x in self.lil.mean(axis=0)]
+            d["lil_mean"] = _column_moments(self.lil)[0].tolist()
         return d
+
+
+def _column_moments(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and ddof=1 variance of each column of ``a``, reduced as a 1-D array."""
+    return np.array([c.mean() for c in a.T]), np.array([c.var(ddof=1) for c in a.T])
 
 
 def _ensemble(fn, config: SimConfig, *extra, workers: int | None = None) -> np.ndarray:
@@ -358,8 +362,7 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> MonteCarloSumm
     t = config.horizon
     ks = range(1, config.levels + 1)
     centers = np.array([leading_term(k, m.mean, t) for k in ks])
-    means = counts.mean(axis=0)
-    variances = counts.var(axis=0, ddof=1)
+    means, variances = _column_moments(counts)
     clt = lil = None
     if m.variance > 0:
         columns = [(counts[:, k - 1], k, t, m, centers[k - 1]) for k in ks]

@@ -52,8 +52,13 @@ def _cells_below(t: float, h: float) -> int:
 
 
 def _weights(weight, t: float, h: float) -> np.ndarray:
-    """weight(t - x_j) at the left points x_j = j h of the grid cells below t."""
-    return weight(t - h * np.arange(_cells_below(t, h), dtype=np.float64))
+    """weight(t - x_j) at the left points x_j = j h of the grid cells below t,
+    refused, before any draw, unless the sum's exact variance h * sum g^2 is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = weight(t - h * np.arange(_cells_below(t, h), dtype=np.float64))
+        if not math.isfinite(variance := h * float(np.dot(g, g))):
+            raise ValueError(f"the weighted sum's variance h * sum g^2 = {variance} is not a finite float")
+    return g
 
 
 @dataclass(frozen=True)

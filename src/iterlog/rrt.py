@@ -122,13 +122,9 @@ def sample_profiles(n: int, k_max: int, stream: RngStream, replicas: int) -> np.
     whose levels the kernel finds only up to k_max + 1.  The trees grow
     ``row_chunks(replicas, n)`` at a time from the stream's one generator, so the
     draws are those of one (replicas, n) block while memory stays flat in ``replicas``."""
-    return profile_rows(stream.generator(), replicas, n, k_max)
-
-
-def profile_rows(rng: np.random.Generator, rows: int, n: int, k_max: int) -> np.ndarray:
-    """``sample_profiles`` of ``rows`` trees drawn from the generator ``rng``."""
-    _check_block(n, rows, k_max)
-    chunks = row_chunks(rows, n)
+    _check_block(n, replicas, k_max)
+    rng = stream.generator()
+    chunks = row_chunks(replicas, n)
     return np.concatenate([_profiles(_levels(_parents(n, rng, r), k_max), k_max) for r in chunks])
 
 

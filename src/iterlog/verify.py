@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import stats as sp_stats
 
 from . import cmj, gauss, renewal, rrt
-from .dist import STREAM_BLOCK, LatticeLaw, RngStream, SmoothLaw, geometric_lattice, map_blocks
+from .dist import STREAM_BLOCK, LatticeLaw, RngStream, SmoothLaw, geometric_lattice
 
 #: Disjoint stream-index blocks, one per stochastic check.
 _BLOCKS = {
@@ -42,6 +42,11 @@ def _offset(check: str, sub: int = 0) -> int:
     return _BLOCKS[check] * STREAM_BLOCK + sub * _SUB
 
 
+def _unit_exp(seed: int, check: str, sub: int = 0, **options) -> cmj.SimConfig:
+    """A unit-exponential ensemble on sub-stream ``sub`` of the check's own block."""
+    return cmj.SimConfig(SmoothLaw("exp", {"rate": 1.0}), seed=seed, stream_offset=_offset(check, sub), **options)
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -54,16 +59,11 @@ class CheckResult:
     #: r_lil's (grid, stats), which ``verify --plot`` draws; no report reads it
     series: tuple | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        self.passed = bool(self.passed)
+
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "computed": self.computed,
-            "target": self.target,
-            "tolerance": self.tolerance,
-            "provenance": self.provenance,
-            "gated": self.gated,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "series"}
 
 
 @dataclass
@@ -209,27 +209,11 @@ def check_subadditivity_sweep(seed: int) -> list[CheckResult]:
 
 def check_renewal_clt(seed: int) -> list[CheckResult]:
     """Sample law of a_k (Y_k - t^k/k!)/t^{k-1/2} for the unit exponential."""
-    config = cmj.SimConfig(
-        SmoothLaw("exp", {"rate": 1.0}),
-        levels=3,
-        horizon=100.0,
-        seed=seed,
-        replicas=20_000,
-        stream_offset=_offset("c5"),
-    )
-    summary = cmj.monte_carlo(config)
+    summary = cmj.monte_carlo(_unit_exp(seed, "c5", levels=3, horizon=100.0, replicas=20_000)).to_dict()
     out = []
-    for k in range(1, 4):
-        var = float(summary.clt[:, k - 1].var(ddof=1))
-        mean = float(summary.clt[:, k - 1].mean())
-        out.append(
-            CheckResult(
-                f"c5_clt_variance_k{k}", 0.9 <= var <= 1.1, var, 1.0, "[0.9, 1.1]", "mc"
-            )
-        )
-        out.append(
-            CheckResult(f"c5_clt_mean_k{k}", abs(mean) <= 0.05, mean, 0.0, 0.05, "mc")
-        )
+    for k, (mean, var) in enumerate(zip(summary["clt_mean"], summary["clt_variance"]), 1):
+        out += [CheckResult(f"c5_clt_variance_k{k}", 0.9 <= var <= 1.1, var, 1.0, "[0.9, 1.1]", "mc"),
+                CheckResult(f"c5_clt_mean_k{k}", abs(mean) <= 0.05, mean, 0.0, 0.05, "mc")]
     return out
 
 
@@ -239,14 +223,7 @@ def check_decomposition(seed: int) -> list[CheckResult]:
     medians = []
     worst_identity = 0.0
     for i, t in enumerate((50.0, 200.0, 400.0)):
-        config = cmj.SimConfig(
-            SmoothLaw("exp", {"rate": 1.0}),
-            levels=2,
-            horizon=t,
-            seed=seed,
-            replicas=200,
-            stream_offset=_offset("c6", i),
-        )
+        config = _unit_exp(seed, "c6", i, levels=2, horizon=t, replicas=200)
         parts = cmj.decomposition_ensemble(config, 2, v_eval)
         identity = np.abs(parts[:, 0] + parts[:, 1] - parts[:, 2])
         worst_identity = max(worst_identity, float(identity.max()))
@@ -272,7 +249,7 @@ def check_rrt(seed: int) -> list[CheckResult]:
     out = []
     # (a) total variation of the profile law at n = 6, trees drawn by uniform attachment
     exact = rrt.enumerate_profiles(6)
-    samples = map_blocks(rrt.profile_rows, RngStream(seed, _offset("c7a")), 100_000, 1000, 6, 6)
+    samples = rrt.sample_profiles(6, 6, RngStream(seed, _offset("c7a")), 100_000)
     tv = rrt.total_variation(rrt.profile_pmf_from_samples(samples), exact)
     out.append(CheckResult("c7_profile_tv", tv < 0.02, tv, 0.0, 0.02, "mc vs enumeration"))
 
@@ -366,16 +343,7 @@ def lil_extrema_series(seed: int, replicas: int = 100):
     is the same under any worker count.
     """
     grid = math.e**2 * 1.5 ** np.arange(26)
-    t_max = float(grid[-1])
-    config = cmj.SimConfig(
-        SmoothLaw("exp", {"rate": 1.0}),
-        levels=1,
-        horizon=t_max,
-        grid=grid,
-        seed=seed,
-        replicas=replicas,
-        stream_offset=_offset("r_lil"),
-    )
+    config = _unit_exp(seed, "r_lil", levels=1, horizon=float(grid[-1]), grid=grid, replicas=replicas)
     m = config.law.moments()
     paths = cmj.path_ensemble(config)[:, 0]
     stats = np.column_stack(
@@ -387,41 +355,30 @@ def lil_extrema_series(seed: int, replicas: int = 100):
     return grid, stats
 
 
+def _extrema(name: str, values: np.ndarray, limit: str, series: tuple | None = None) -> CheckResult:
+    """Report-only {min, max} of a statistic whose limit set is [-1, 1] as ``limit``
+    grows; it passes when every value is finite."""
+    return CheckResult(
+        name,
+        np.all(np.isfinite(values)),
+        {"min": float(np.min(values)), "max": float(np.max(values))},
+        f"[-1, 1] only as {limit} -> infinity",
+        "report-only",
+        "mc",
+        gated=False,
+        series=series,
+    )
+
+
 def check_lil_extrema(seed: int) -> list[CheckResult]:
     grid, stats = lil_extrema_series(seed)
-    running_max = float(np.max(stats))
-    running_min = float(np.min(stats))
-    finite = bool(np.all(np.isfinite(stats)))
-    return [
-        CheckResult(
-            "r_lil_extrema",
-            finite,
-            {"min": running_min, "max": running_max},
-            "[-1, 1] only as t -> infinity",
-            "report-only",
-            "mc",
-            gated=False,
-            series=(grid, stats),
-        )
-    ]
+    return [_extrema("r_lil_extrema", stats, "t", series=(grid, stats))]
 
 
 def check_rrt_lil(seed: int) -> list[CheckResult]:
     n, reps, k = 10_000, 100, 2
     xs = rrt.sample_profiles(n, k, RngStream(seed, _offset("r_rrt")), reps)[:, k - 1]
-    values = rrt.rrt_lil_statistic(xs, n, k)
-    finite = bool(np.all(np.isfinite(values)))
-    return [
-        CheckResult(
-            "r_rrt_lil",
-            finite,
-            {"min": float(values.min()), "max": float(values.max())},
-            "[-1, 1] only as n -> infinity",
-            "report-only",
-            "mc",
-            gated=False,
-        )
-    ]
+    return [_extrema("r_rrt_lil", rrt.rrt_lil_statistic(xs, n, k), "n")]
 
 
 #: name -> (builder, budget in seconds, in fast suite)

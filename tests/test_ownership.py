@@ -1,5 +1,6 @@
 """Each ensemble decision has one owner: only ``dist`` opens substreams (in
-``map_blocks``), no module of ``iterlog`` reaches into another's
+``map_blocks``), only the ``cmj`` and ``gauss`` ensembles dispatch blocks
+through it, no module of ``iterlog`` reaches into another's
 ``_``-prefixed names, and names kept only for the benchmark harness (the
 single-replica samplers and the two-call perturbed table chain) have no
 caller in the package."""
@@ -25,6 +26,13 @@ def substream_openings(tree: ast.AST) -> list[int]:
         if isinstance(node, ast.Call)
         and ((_name(node.func) == "RngStream" and len(node.args) >= 3)
              or any(kw.arg == "substream" for kw in node.keywords))
+    )
+
+
+def map_blocks_calls(tree: ast.AST) -> list[int]:
+    """Lines of ``map_blocks(...)`` calls, by bare or dotted name."""
+    return sorted(
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and _name(node.func) == "map_blocks"
     )
 
 
@@ -76,6 +84,14 @@ def _tree(path: Path) -> ast.AST:
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "dist.py"], ids=lambda p: p.name)
 def test_only_dist_opens_substreams(path):
     assert substream_openings(_tree(path)) == [], f"{path.name} opens a substream; use dist.map_blocks"
+
+
+def test_only_the_ensembles_dispatch_blocks():
+    """Checks and commands draw through ``cmj``'s and ``gauss``'s ensembles or
+    ``rrt.sample_profiles``; none of them hands blocks to ``map_blocks`` itself."""
+    assert [p.name for p in MODULES if map_blocks_calls(_tree(p))] == ["cmj.py", "gauss.py"]
+    bad = ast.parse("rows = map_blocks(fn, s, 10, 5)\nx = 1\nrows = dist.map_blocks(fn, s, 10, 5)\n")
+    assert map_blocks_calls(bad) == [1, 3]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -21,7 +21,6 @@ from iterlog.rrt import (
     grow_discrete,
     grow_yule,
     profile_pmf_from_samples,
-    profile_rows,
     rrt_lil_statistic,
     sample_profiles,
     total_variation,
@@ -346,9 +345,9 @@ def test_grower_conservation_property(n, seed):
 @pytest.mark.parametrize("rows, digest", [
     (lambda: sample_profiles(50, 1, RngStream(7, 3), 5000),
      "d596578cc29d1fd297f9da21ea35f9fbce6df01e43abd4701c9e2eba8c20b829"),
-    (lambda: profile_rows(RngStream(7, 3).generator(), 10000, 6, 3),
+    (lambda: sample_profiles(6, 3, RngStream(7, 3), 10000),
      "8f83d1879539c60289913bfdce1cd4500f725e921cc16f65454722e5cd0c7d27"),
-], ids=["sample_profiles", "profile_rows"])
+], ids=["sample_profiles", "sample_profiles_n6_k3"])
 def test_profile_draws_pinned(rows, digest):
     assert hashlib.sha256(rows().astype("<i8").tobytes()).hexdigest() == digest
 
