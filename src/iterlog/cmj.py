@@ -357,10 +357,12 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> MonteCarloSumm
     whatever the worker count."""
     if config.replicas < 2:
         raise ValueError("ensemble needs at least two replicas")
-    counts = _ensemble(_count_rows, config, workers=workers)
-    m = config.law.moments()
     t = config.horizon
     ks = range(1, config.levels + 1)
+    if any(_power(t, k - 0.5) == 0.0 for k in ks):
+        raise ValueError(f"horizon {t} is too small: t^(k - 1/2) underflows to 0 at some k <= {config.levels}")
+    counts = _ensemble(_count_rows, config, workers=workers)
+    m = config.law.moments()
     centers = np.array([leading_term(k, m.mean, t) for k in ks])
     means, variances = _column_moments(counts)
     clt = lil = None

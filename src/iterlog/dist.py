@@ -41,6 +41,10 @@ PMF_TOLERANCE = 1e-12
 #: (geometric) on a finite support.
 TRUNCATION_MASS = 1e-15
 
+#: Most sites a truncated geometric law may hold: its pmf, support and cdf
+#: then stay under about 96 MiB.
+_GEOMETRIC_MAX_SITES = 1 << 22
+
 
 @dataclass(frozen=True)
 class Moments:
@@ -202,7 +206,13 @@ def geometric_lattice(p: float, span: float = 1.0) -> LatticeLaw:
     """
     if not 0 < p < 1:
         raise ValueError("geometric parameter must lie in (0, 1)")
-    m = 1
+    sites = math.log(TRUNCATION_MASS) / math.log1p(-p)
+    if not sites <= _GEOMETRIC_MAX_SITES:
+        raise ValueError(f"geometric parameter p={p} needs more than {_GEOMETRIC_MAX_SITES} sites")
+    # the first m >= 1 with (1 - p)**m <= TRUNCATION_MASS, from the closed form
+    m = max(1, math.ceil(sites))
+    while m > 1 and (1.0 - p) ** (m - 1) <= TRUNCATION_MASS:
+        m -= 1
     while (1.0 - p) ** m > TRUNCATION_MASS:
         m += 1
     k = np.arange(1, m + 1, dtype=np.float64)

@@ -10,13 +10,14 @@ whose binomial tables give -1/2 where the stated form predicts +1/2).  The
 machinery is instead gated against the table-validated constant.
 """
 
+import hashlib
 import math
 import time
 
 import numpy as np
 import pytest
 
-from iterlog import verify
+from iterlog import cmj, renewal, verify
 from iterlog.dist import geometric_lattice
 from iterlog.renewal import convolve_levels, perturbed_table, renewal_sequence
 
@@ -124,6 +125,11 @@ def test_standing_findings(name, seed, failing, computed):
     assert gated[failing].computed == computed
 
 
+#: sha256 of the seed-7 fast and full reports' ``to_json()``
+FAST_SEED7_SHA256 = "48b74a6de6a64bb3e3a4fa9f4d15103677ce9b57a8c53d44753041b8404b888e"
+FULL_SEED7_SHA256 = "b548ddec60713348d0a73018333c7fb01521485da0284e86d98592bc3a1d26c5"
+
+
 def test_criterion_09_determinism(monkeypatch):
     start = time.perf_counter()
     monkeypatch.setenv("ITERLOG_THREADS", "1")
@@ -136,6 +142,8 @@ def test_criterion_09_determinism(monkeypatch):
     print(f"ACCEPTANCE criterion 9 (byte-identical reports): {'PASS' if ok else 'FAIL'} ({elapsed:.2f}s)")
     assert first == second
     assert first == third
+    # a change of draws or of a report's format re-pins this and says so
+    assert hashlib.sha256(first.encode()).hexdigest() == FAST_SEED7_SHA256
 
 
 def test_criterion_10_limit_claims_are_report_only(tmp_path):
@@ -189,3 +197,32 @@ def test_acceptance_gate_composition():
         "c8_b2_lattice_variance",
     }
     assert report.passed
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == FULL_SEED7_SHA256
+
+
+def _nan_at(index, field=None):
+    """Writes a NaN at ``index`` of a result (of its ``field``, if named); each
+    call returns a fresh result, so no other caller sees it."""
+
+    def poison(result):
+        (getattr(result, field) if field else result)[index] = math.nan
+        return result
+
+    return poison
+
+
+#: check, its gated result, and the module function whose result gets one NaN
+NAN_INJECTIONS = [
+    ("c1", "c1_exact_convolution", renewal, "renewal_table", _nan_at((1, 5), "values")),  # V_2(5)
+    ("c2", "c2_elementary_ratio", renewal, "renewal_table", _nan_at((2, 4000), "values")),  # V_3(4000)
+    ("c6", "c6_identity", cmj, "decomposition_ensemble", _nan_at((3, 1))),  # J_2 of one replica
+]
+
+
+@pytest.mark.parametrize("check, name, module, attr, poison", NAN_INJECTIONS, ids=[n[0] for n in NAN_INJECTIONS])
+def test_nan_fails_the_gate(monkeypatch, check, name, module, attr, poison):
+    # a NaN deviation is no deviation to Python's max, so a gate folded that way passed it
+    original = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *args, **kwargs: poison(original(*args, **kwargs)))
+    (result,) = [r for r in verify.run_check(check, SEED) if r.name == name]
+    assert not result.passed

@@ -482,9 +482,14 @@ def test_usage_errors(capsys):
     assert run(["mc", "--law", "exp:rate=1", "--t", "1e300", "--replicas", "2"]) == 2
     assert run(["simulate", "--law", "exp:rate=1", "--t", "1e200"]) == 2
     assert run(["gauss", "--k", "3", "--t", "1e300", "--h", "1e299", "--format", "json"]) == 2
+    # a truncated geometric support past 2**22 sites is refused before its loop or its pmf
+    assert run(["moments", "--law", "geom:p=1e-300"]) == 2
+    assert run(["moments", "--law", "geom:p=1e-9"]) == 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before the weights' overflow could warn
         assert run(["gauss", "--k", "3", "--t", "1e300", "--h", "1e299", "--replicas", "2"]) == 2
+        # refused before drawing: t^(k - 1/2) underflows to 0, so the CLT statistic would be 0/0
+        assert run(["mc", "--law", "exp:rate=1", "--t", "1e-300", "--replicas", "3", "--format", "json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--checks ignores --suite;" in captured.err
@@ -492,6 +497,8 @@ def test_usage_errors(capsys):
     assert captured.err.count("expected inf births per replica exceeds the cap") == 2
     assert "B1 variance target t^5 overflows a float" in captured.err
     assert "variance h * sum g^2 = inf is not a finite float" in captured.err
+    assert captured.err.count("needs more than 4194304 sites") == 2
+    assert "underflows to 0" in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -42,6 +42,16 @@ def test_geometric_moments_against_partial_sums():
     assert abs(m.variance - 2.0) < 1e-10
 
 
+@pytest.mark.parametrize("p", [0.5, 0.3, 0.01, 0.001])
+def test_geometric_support_from_closed_form_keeps_every_bit(p):
+    # reference: the first m >= 1 with (1 - p)**m <= TRUNCATION_MASS, found by stepping
+    m = 1
+    while (1.0 - p) ** m > 1e-15:
+        m += 1
+    pmf = p * (1.0 - p) ** (np.arange(1, m + 1, dtype=np.float64) - 1.0)
+    assert geometric_lattice(p).pmf.tobytes() == (pmf / math.fsum(pmf.tolist())).tobytes()
+
+
 def test_point_mass_moments():
     m = LatticeLaw(1.0, np.array([1.0])).moments()
     assert m.mean == 1.0
