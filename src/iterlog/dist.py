@@ -87,13 +87,13 @@ class LatticeLaw:
             raise ValueError("pmf must be a nonempty 1-D array")
         if not np.all(pmf >= 0):
             raise ValueError("pmf entries must be nonnegative")
-        total = math.fsum(pmf.tolist())
+        total = math.fsum(pmf)
         if abs(total - 1.0) > PMF_TOLERANCE:
             raise ValueError(f"pmf must sum to 1 (got {total!r})")
         support = np.nonzero(pmf)[0] + 1
         if support.size == 0:
             raise ValueError("empty law")
-        if math.gcd(*support.tolist()) != 1:  # the law lives on a coarser lattice
+        if np.gcd.reduce(support) != 1:  # the law lives on a coarser lattice
             raise ValueError("span is not maximal: support indices share a common factor")
         # sampling tables, built once: every site, the cdf that indexes it and
         # its guide; the cdf is inf from the last site with mass on, so a
@@ -117,8 +117,8 @@ class LatticeLaw:
 
     def moments(self) -> Moments:
         m = np.arange(1, self.pmf.size + 1, dtype=np.float64)
-        mean = math.fsum((self.span * m * self.pmf).tolist())
-        second = math.fsum(((self.span * m) ** 2 * self.pmf).tolist())
+        mean = math.fsum(self.span * m * self.pmf)
+        second = math.fsum((self.span * m) ** 2 * self.pmf)
         return Moments(mean, second)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -217,7 +217,7 @@ def geometric_lattice(p: float, span: float = 1.0) -> LatticeLaw:
         m += 1
     k = np.arange(1, m + 1, dtype=np.float64)
     pmf = p * (1.0 - p) ** (k - 1.0)
-    return LatticeLaw(span, pmf / math.fsum(pmf.tolist()))
+    return LatticeLaw(span, pmf / math.fsum(pmf))
 
 
 @dataclass

@@ -15,7 +15,11 @@ Stieltjes ``convolve_levels`` remain for the benchmark harness only.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +84,6 @@ def _recurrence_levels(
     where Q is eta's pmf, or the law's own when eta is None: one IIR pass per
     level, O(N M) for pmfs on M sites.  The denominator has two or more taps,
     so scipy runs its own sequential loop, not a BLAS dot."""
-    # imported here: scipy.signal imports scipy.stats, ~1.4 s in all, against ~0.2 s for `import iterlog`
-    from scipy.signal import lfilter
-
     if not isinstance(law, LatticeLaw):
         raise ValueError("exact tables need a lattice law")
     if eta is None:
@@ -93,9 +94,32 @@ def _recurrence_levels(
         raise ValueError("incommensurable lattices: step and perturbation spans differ")
     b, a = np.concatenate(([0.0], eta.pmf)), np.concatenate(([1.0], -law.pmf))
     out = np.empty((levels, x.size), dtype=np.float64)
+    kernel = _linear_filter()
     for k in range(levels):
-        x = out[k] = lfilter(b, a, x)
+        x = out[k] = kernel(b, a, x, -1)
     return out
+
+
+@functools.cache
+def _linear_filter():
+    """The C loop ``scipy.signal.lfilter`` calls when the denominator has two or
+    more taps, loaded once from its extension alone: ``import scipy.signal`` also
+    imports ``scipy.stats``, about 1 s and 70 MiB that one call does not need.
+    Without the extension file or its symbol, ``lfilter`` itself (the same loop)."""
+    import scipy
+
+    stem = os.path.join(os.path.dirname(scipy.__file__), "signal", "_sigtools")
+    for path in (stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES):
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.signal._sigtools", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if hasattr(module, "_linear_filter"):
+                return module._linear_filter
+            break
+    from scipy.signal import lfilter
+
+    return lfilter
 
 
 def renewal_sequence(law: LatticeLaw, n_max: int) -> np.ndarray:

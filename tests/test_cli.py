@@ -425,6 +425,34 @@ def test_chi2_two_sample_too_few_counts():
         verify._chi2_two_sample(np.array([1, 2, 3]), np.array([1, 2]))
 
 
+def _samples_of_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two samples whose counts on the values 0..m-1 are the rows of a 2 x m table."""
+    values = np.arange(table.shape[1])
+    return np.repeat(values, table[0]), np.repeat(values, table[1])
+
+
+def test_chi2_two_sample_matches_chi2_contingency():
+    from scipy import stats as sp_stats
+
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        m = int(rng.integers(3, 60))
+        table = rng.integers(0, rng.choice([40, 400, 40_000]), size=(2, m))
+        short = table.sum(axis=0) < verify.MIN_POOLED  # so no column is pooled with the next
+        table[0, short] += verify.MIN_POOLED
+        _, p, dof, _ = sp_stats.chi2_contingency(table)
+        assert dof == m - 1
+        assert verify._chi2_two_sample(*_samples_of_table(table)) == p
+
+
+def test_chi2_two_sample_refuses_fewer_than_three_cells():
+    # one degree of freedom would call for Yates' correction, which c7b never needs
+    for table in ([[30, 10], [20, 40]], [[30], [20]]):
+        cells = len(table[0])
+        with pytest.raises(ValueError, match=f"3 or more pooled cells, got {cells}"):
+            verify._chi2_two_sample(*_samples_of_table(np.array(table)))
+
+
 def test_level1_chi2_p_value_pinned():
     # where scipy.stats gets imported must not move the seed-7 p-value
     (chi2,) = [c for c in verify.run_check("c7", 7) if c.name == "c7_level1_chi2"]
@@ -447,7 +475,7 @@ def test_tree_and_gauss_values_pinned(check, pinned):
     assert {name: computed[name] for name in pinned} == pinned
 
 
-def test_scipy_stats_loaded_only_by_commands_that_need_it():
+def test_no_command_loads_scipy_stats_or_signal():
     src = str(Path(iterlog.__file__).resolve().parents[1])
     code = (
         "import contextlib, io, sys\n"
@@ -459,6 +487,15 @@ def test_scipy_stats_loaded_only_by_commands_that_need_it():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.run(['mc', '--law', 'exp:rate=1', '--K', '2', '--t', '5', '--replicas', '4']) == 0\n"
         "    assert cli.run(['rrt', '--n', '30', '--K', '2', '--replicas', '3']) == 0\n"
+        "assert not lazy_modules(), lazy_modules()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['renewal', '--law', 'geom:p=0.5', '--K', '3', '--N', '50', '--format', 'json']) == 0\n"
+        "assert not lazy_modules(), lazy_modules()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['gauss', '--law', 'geom:p=0.5', '--k', '2', '--t', '5', '--h', '0.5', '--replicas', '4']) == 0\n"
+        "assert not lazy_modules(), lazy_modules()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['verify', '--checks', 'c1,c7']) == 0\n"
         "assert not lazy_modules(), lazy_modules()\n"
     )
     env = dict(os.environ)

@@ -1,6 +1,8 @@
 """Law construction, exact moments, grammar, and stream reproducibility."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +249,24 @@ def test_guide_table_size():
     short = SAMPLER_LAWS[-1]
     past = np.array([np.nextafter(1.0, 0.0), 1.0 - 5e-14])
     assert np.array_equal(short.sample(_Uniforms(past), 2), [2.0, 2.0])
+
+
+def test_long_law_builds_without_python_lists():
+    # the pmf check, the gcd and the moments read the arrays, not a list of floats a site
+    tracemalloc.start()
+    try:
+        law = geometric_lattice(1e-4)
+        m = law.moments()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = law.pmf.nbytes + law.support.nbytes + law._cdf.nbytes + law._guide.nbytes
+    assert peak < 2.5 * arrays
+    assert law.pmf.size == 345371
+    assert (m.mean, m.second_moment) == (10000.000000000755, 199989999.99991786)
+    assert hashlib.sha256(law.pmf.tobytes()).hexdigest() == (
+        "fb993a0a3a38f99f58be829dd3dcbda86d84297fab5117f0dd9bc9abc65d0af4"
+    )
 
 
 def test_zero_mass_tail_is_never_drawn():

@@ -1,6 +1,7 @@
 """Exact tables vs independent oracles: direct summation, brute convolution
 powers, hand values, and the closed-form constants."""
 
+import importlib.machinery
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import iterlog
+from iterlog import renewal
 from iterlog.dist import LatticeLaw, SmoothLaw, geometric_lattice
 from iterlog.renewal import (
     MAX_TABLE_ENTRIES,
@@ -563,6 +565,49 @@ def test_table_bits_independent_of_blas_threads():
         digests.append(done.stdout)
     assert len(digests[0]) == 192
     assert digests[0] == digests[1]
+
+
+def _lfilter_levels(law: LatticeLaw, levels: int, n_max: int, eta: LatticeLaw | None = None) -> np.ndarray:
+    """The level recurrence run through public ``scipy.signal.lfilter``."""
+    from scipy.signal import lfilter
+
+    b = np.concatenate(([0.0], (law if eta is None else eta).pmf))
+    a = np.concatenate(([1.0], -law.pmf))
+    rows, x = [], np.ones(n_max + 1)
+    for _ in range(levels):
+        x = lfilter(b, a, x)
+        rows.append(x)
+    return np.array(rows)
+
+
+LFILTER_CASES = [(law, None) for law in RATIONAL_LAWS + [GEOM, UNIT]] + [
+    (RATIONAL_LAWS[1], RATIONAL_LAWS[2]),
+    (RATIONAL_LAWS[2], GEOM),
+    (GEOM, RATIONAL_LAWS[0]),
+    (UNIT, RATIONAL_LAWS[1]),
+]
+
+
+@pytest.mark.parametrize("law, eta", LFILTER_CASES)
+def test_table_bits_equal_public_lfilter(law, eta):
+    # the kernel is scipy's private _sigtools._linear_filter; it must give lfilter's bytes
+    expected = _lfilter_levels(law, 3, 3000, eta)
+    assert renewal_table(law, 3, 3000, eta).values.tobytes() == expected.tobytes()
+
+
+def test_table_kernel_falls_back_to_lfilter(monkeypatch):
+    import scipy.signal
+
+    law, eta = RATIONAL_LAWS[1], RATIONAL_LAWS[2]
+    direct = [renewal_table(law, 3, 2000, e).values.tobytes() for e in (None, eta)]
+    assert renewal._linear_filter() is not scipy.signal.lfilter  # the extension's own loop
+    renewal._linear_filter.cache_clear()
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])  # no extension file is found
+    try:
+        assert renewal._linear_filter() is scipy.signal.lfilter
+        assert [renewal_table(law, 3, 2000, e).values.tobytes() for e in (None, eta)] == direct
+    finally:
+        renewal._linear_filter.cache_clear()
 
 
 def test_csv_round_trip(tmp_path):
