@@ -248,12 +248,13 @@ def _cmd_gauss(cfg: argparse.Namespace) -> int:
         else:
             raise ValueError("remainder weight needs a lattice or exponential law")
     fk = gauss.FkTable(k, levels)
-    if cfg.fmt == "json":  # both targets before the ensembles, so a refused one draws nothing
+    if cfg.fmt == "json":  # all variances before the ensembles, so a refused one draws nothing
         try:
             b1_target = t ** (2 * k - 1) / (2 * k - 1)
         except OverflowError:
             raise ValueError(f"the B1 variance target t^{2 * k - 1} overflows a float") from None
         b2_target = gauss.variance_b2k(fk, t)
+        b1_exact, b2_exact = gauss.b1k_weights(k, t, h)[1], gauss.b2k_weights(fk, t, h)[1]
     b1 = gauss.b1k_ensemble(k, t, h, cfg.replicas, RngStream(cfg.seed, 0))
     b2 = gauss.b2k_ensemble(fk, t, h, cfg.replicas, RngStream(cfg.seed, 1))
     if cfg.fmt == "json":
@@ -263,8 +264,10 @@ def _cmd_gauss(cfg: argparse.Namespace) -> int:
             "h": h,
             "b1_variance": float(b1.var(ddof=1)),
             "b1_variance_target": b1_target,
+            "b1_variance_exact": b1_exact,
             "b2_variance": float(b2.var(ddof=1)),
             "b2_variance_target": b2_target,
+            "b2_variance_exact": b2_exact,
         }
         _emit(_json(out), cfg.out)
         return 0

@@ -51,14 +51,14 @@ def _cells_below(t: float, h: float) -> int:
     return int(lattice_site(t / h))
 
 
-def _weights(weight, t: float, h: float) -> np.ndarray:
-    """weight(t - x_j) at the left points x_j = j h of the grid cells below t,
-    refused, before any draw, unless the sum's exact variance h * sum g^2 is finite."""
+def _weights(weight, t: float, h: float) -> tuple[np.ndarray, float]:
+    """weight(t - x_j) at the left points x_j = j h of the grid cells below t, and
+    the sum's exact variance h * sum g^2, refused, before any draw, unless finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         g = weight(t - h * np.arange(_cells_below(t, h), dtype=np.float64))
         if not math.isfinite(variance := h * float(np.dot(g, g))):
             raise ValueError(f"the weighted sum's variance h * sum g^2 = {variance} is not a finite float")
-    return g
+    return g, variance
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def b2k(path: BmPath, fk: FkTable, t: float) -> float:
     # -lattice_site(-x) is the number of cells that cover [0, t]
     if not 0 <= t < math.inf or -lattice_site(-t / path.h) > path.values.size - 1:
         raise ValueError("t outside path horizon")
-    g = _weights(fk.evaluate, t, path.h)
+    g, _ = _weights(fk.evaluate, t, path.h)
     return float(np.dot(g, np.diff(path.values[: g.size + 1])))
 
 
@@ -130,21 +130,30 @@ def variance_b2k(fk: FkTable, n: float) -> float:
     return math.fsum(cell.tolist())
 
 
-def b1k_ensemble(k: int, t: float, h: float, replicas: int, stream: RngStream) -> np.ndarray:
-    """Independent values of sum_j (t - x_j)^{k-1} dW_j over the grid cells
-    below t, in blocks of BLOCK_ROWS on the substreams of ``stream``."""
+def b1k_weights(k: int, t: float, h: float) -> tuple[np.ndarray, float]:
+    """The weights (t - x_j)^{k-1} of a ``b1k_ensemble`` value, and its exact variance."""
     if k < 1:
         raise ValueError("need k >= 1")
     check_step(t, h)
-    weights = _weights(lambda lag: lag ** (k - 1), t, h)
-    return map_blocks(_weighted_sums, stream, replicas, BLOCK_ROWS, weights, h)
+    return _weights(lambda lag: lag ** (k - 1), t, h)
+
+
+def b2k_weights(fk: FkTable, t: float, h: float) -> tuple[np.ndarray, float]:
+    """The weights f_k(t - x_j) of a ``b2k_ensemble`` value, and its exact variance."""
+    check_step(t, h)
+    _check_grid(fk, h, t)
+    return _weights(fk.evaluate, t, h)
+
+
+def b1k_ensemble(k: int, t: float, h: float, replicas: int, stream: RngStream) -> np.ndarray:
+    """Independent values of sum_j (t - x_j)^{k-1} dW_j over the grid cells
+    below t, in blocks of BLOCK_ROWS on the substreams of ``stream``."""
+    return map_blocks(_weighted_sums, stream, replicas, BLOCK_ROWS, b1k_weights(k, t, h)[0], h)
 
 
 def b2k_ensemble(fk: FkTable, t: float, h: float, replicas: int, stream: RngStream) -> np.ndarray:
     """Independent ``b2k`` values, in blocks of BLOCK_ROWS on the substreams of ``stream``."""
-    check_step(t, h)
-    _check_grid(fk, h, t)
-    return map_blocks(_weighted_sums, stream, replicas, BLOCK_ROWS, _weights(fk.evaluate, t, h), h)
+    return map_blocks(_weighted_sums, stream, replicas, BLOCK_ROWS, b2k_weights(fk, t, h)[0], h)
 
 
 def _weighted_sums(rng: np.random.Generator, rows: int, weights: np.ndarray, h: float) -> np.ndarray:

@@ -121,11 +121,16 @@ def sample_profiles(n: int, k_max: int, stream: RngStream, replicas: int) -> np.
     """Final profiles (X_n(1..k_max)) of many independent trees, one row each,
     whose levels the kernel finds only up to k_max + 1.  The trees grow
     ``row_chunks(replicas, n)`` at a time from the stream's one generator, so the
-    draws are those of one (replicas, n) block while memory stays flat in ``replicas``."""
+    draws are those of one (replicas, n) block, and each chunk's profiles are
+    written in place, so memory beyond the output stays flat in ``replicas``."""
     _check_block(n, replicas, k_max)
     rng = stream.generator()
-    chunks = row_chunks(replicas, n)
-    return np.concatenate([_profiles(_levels(_parents(n, rng, r), k_max), k_max) for r in chunks])
+    out = np.empty((replicas, k_max), dtype=np.int64)
+    start = 0
+    for r in row_chunks(replicas, n):
+        out[start : start + r] = _profiles(_levels(_parents(n, rng, r), k_max), k_max)
+        start += r
+    return out
 
 
 def _profiles(levels: np.ndarray, k_max: int) -> np.ndarray:

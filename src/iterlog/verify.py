@@ -266,14 +266,41 @@ def _chi2_two_sample(x: np.ndarray, y: np.ndarray) -> float:
         my[-1] += ay
     if len(mx) < 3:  # one degree of freedom would want Yates' correction
         raise ValueError(f"the two-sample test needs 3 or more pooled cells, got {len(mx)}")
-    # Pearson's test as scipy.stats.chi2_contingency computes it, without that ~1 s import;
-    # chdtrc is the chi-square survival function it reads the p-value from
-    from scipy.special import chdtrc
-
+    # Pearson's statistic as scipy.stats.chi2_contingency computes it, bit for bit,
+    # read against the chi-square law's closed form
     observed = np.array([mx, my], dtype=np.float64)
     expected = observed.sum(axis=1, keepdims=True) * observed.sum(axis=0, keepdims=True) / observed.sum()
     stat = ((observed - expected) ** 2 / expected).sum()
-    return float(chdtrc(len(mx) - 1, stat))
+    return _chi2_sf(len(mx) - 1, float(stat))
+
+
+def _chi2_sf(dof: int, x: float) -> float:
+    """P(chi^2 > x) with an integer ``dof`` >= 1, in closed form (Abramowitz & Stegun
+    26.4.4-5): e^{-x/2} sum_{j < dof/2} (x/2)^j / j! for even dof, and for odd dof
+    erfc(sqrt(x/2)) + sqrt(2x/pi) e^{-x/2} sum_{j < (dof-1)/2} x^j / (1 * 3 * ... * (2j+1)).
+    The sum of positive terms is taken exactly in integers and rounded once, so the
+    result is within a few ulps; a huge x gives 0.0 and a NaN gives NaN.  Past x = 1400
+    a dof above about 700 overflows the sum (OverflowError); c7b pools about a dozen cells."""
+    if dof < 1:
+        raise ValueError(f"the chi-square law needs dof >= 1, got {dof}")
+    # e^{-x/2} goes subnormal past x = 1416, so there it is applied in two normal halves
+    scale, rest = (math.exp(-x / 2), 1.0) if x < 1400 else (math.exp(-x / 4),) * 2
+    if not scale > 0:
+        return scale
+    num, den = x.as_integer_ratio()
+    top, bottom = int(dof > 1), 1  # the sum as top / bottom, by Horner's rule
+    for i in range(dof // 2 - 1, 0, -1):
+        step = bottom * den * (2 * i + dof % 2)
+        top, bottom = step + num * top, step
+    if dof % 2 == 0:
+        return scale * (top / bottom) * rest
+    if not (z := math.sqrt(x / 2)):
+        return 1.0
+    # sqrt(x/2) rounds to z = zn / zd, which moves erfc by about (z^2 - x/2) e^{-x/2} / (z sqrt(pi));
+    # w is sqrt(x/2) * sum plus that correction, over (2/sqrt(pi)) e^{-x/2}, to first order, rounded once
+    zn, zd = z.as_integer_ratio()
+    w = (2 * den * zn * zn * (bottom + top) - num * zd * zd * (bottom - top)) / (4 * den * zd * zn * bottom)
+    return math.erfc(z) + 2 / math.sqrt(math.pi) * scale * w * rest
 
 
 def check_gauss(seed: int) -> list[CheckResult]:

@@ -110,7 +110,7 @@ def test_criterion_08_gaussian_variances():
 #: The standing findings: a gated result that fails by chance at one seed, with what it computes there.
 STANDING_FINDINGS = [
     ("c6", 15, "c6_subtree_trend", [0.06981999874545257, 0.02847095220845597, 0.028624026864408732]),
-    ("c7", 37, "c7_level1_chi2", 0.001480958039240603),
+    ("c7", 37, "c7_level1_chi2", 0.0014809580392406035),
     ("c8", 38, "c8_b1_variance", 343.8840583614222),
 ]
 
@@ -126,8 +126,8 @@ def test_standing_findings(name, seed, failing, computed):
 
 
 #: sha256 of the seed-7 fast and full reports' ``to_json()``
-FAST_SEED7_SHA256 = "48b74a6de6a64bb3e3a4fa9f4d15103677ce9b57a8c53d44753041b8404b888e"
-FULL_SEED7_SHA256 = "b548ddec60713348d0a73018333c7fb01521485da0284e86d98592bc3a1d26c5"
+FAST_SEED7_SHA256 = "be1f15d98a0f0951e76f978f2cf87478aacd1d8c201fc46909d43b70d0863381"
+FULL_SEED7_SHA256 = "d72db9379fcde13f84e0186db1dbee6bd9e4acde7efabbf99f035199bfc74c39"
 
 
 def test_criterion_09_determinism(monkeypatch):

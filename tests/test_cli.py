@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +352,18 @@ def test_gauss_json(capsys):
     assert json.loads(_capture(capsys))["b2_variance_target"] == pytest.approx((10 + 0.5**3) / 12)
 
 
+def test_gauss_json_reports_the_exact_ensemble_variances(capsys):
+    # h * sum g^2 over the 20 left points: the ensembles' own variances, where the
+    # continuous-limit targets read 333.3 and 0.833
+    assert run(["gauss", "--law", "geom:p=0.5", "--t", "10", "--h", "0.5", "--replicas", "400",
+                "--format", "json"]) == 0
+    out = json.loads(_capture(capsys))
+    assert out["b1_variance_exact"] == 0.5 * sum((10 - 0.5 * j) ** 2 for j in range(20)) == 358.75
+    assert out["b2_variance_exact"] == pytest.approx(0.3125, rel=1e-9)
+    assert list(out) == ["k", "t", "h", "b1_variance", "b1_variance_target", "b1_variance_exact",
+                         "b2_variance", "b2_variance_target", "b2_variance_exact"]
+
+
 def test_gauss_step_and_replica_errors(capsys):
     base = ["gauss", "--k", "2", "--t", "1", "--seed", "3"]
     for h in ("0", "-0.1", "2"):
@@ -440,9 +453,67 @@ def test_chi2_two_sample_matches_chi2_contingency():
         table = rng.integers(0, rng.choice([40, 400, 40_000]), size=(2, m))
         short = table.sum(axis=0) < verify.MIN_POOLED  # so no column is pooled with the next
         table[0, short] += verify.MIN_POOLED
-        _, p, dof, _ = sp_stats.chi2_contingency(table)
+        stat, p_scipy, dof, _ = sp_stats.chi2_contingency(table)
         assert dof == m - 1
-        assert verify._chi2_two_sample(*_samples_of_table(table)) == p
+        # the pooled statistic is scipy's bit for bit, and the p-value is the closed form's
+        p = verify._chi2_two_sample(*_samples_of_table(table))
+        assert p == verify._chi2_sf(dof, stat)
+        if p_scipy >= sys.float_info.min:
+            assert abs(p / p_scipy - 1) <= 1e-13
+        else:  # scipy's tail underflows to 0.0 first; the closed form's goes subnormal
+            assert p < sys.float_info.min
+
+
+#: pi to 60 digits, for the chi-square oracle
+_PI = "3.14159265358979323846264338327950288419716939937510582097494459"
+
+
+def _chi2_sf_exact(x: float, dofs: int) -> list[Decimal]:
+    """P(chi^2 > x) at 60 digits for 1..dofs degrees of freedom, from series of positive
+    terms.  Even dof: e^{-x/2} sum_{j < dof/2} (x/2)^j / j!.  Odd dof: 1 - erf(sqrt(x/2)), with
+    erf(z) = (2/sqrt(pi)) e^{-z^2} sum_n (2z^2)^n z / (1 * 3 * ... * (2n+1)), plus
+    sqrt(2/pi) e^{-x/2} sum_{r=1}^{(dof-1)/2} x^(r-1/2) / (1 * 3 * ... * (2r-1))."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(x)
+        decay = (-x / 2).exp()
+        term = total = (x / 2).sqrt()
+        n = 0
+        while term > total * Decimal("1e-70"):
+            n += 1
+            term = term * x / (2 * n + 1)
+            total += term
+        odd, even = 1 - 2 / Decimal(_PI).sqrt() * decay * total, decay
+        odd_term, even_term = (2 / Decimal(_PI)).sqrt() * decay * x.sqrt(), decay
+        out = [odd, even]
+        for j in range(1, (dofs + 1) // 2):
+            odd += odd_term
+            odd_term = odd_term * x / (2 * j + 1)
+            even_term = even_term * x / (2 * j)
+            even += even_term
+            out += [odd, even]
+        return out[:dofs]
+
+
+def test_chi2_sf_matches_an_exact_oracle():
+    # ulps of the exact value, where the upper tail is at least 1e-30
+    grid = sorted({0.01 * 1.15**i for i in range(80)} | {j + 0.37 * (j % 3) for j in range(1, 300)})
+    worst = 0.0
+    for x in grid:
+        for dof, exact in enumerate(_chi2_sf_exact(x, 60), 1):
+            if exact >= Decimal("1e-30"):
+                ulps = abs(Decimal(verify._chi2_sf(dof, x)) - exact) / Decimal(math.ulp(float(exact)))
+                worst = max(worst, float(ulps))
+    assert worst <= 4.0
+
+
+def test_chi2_sf_edges():
+    for dof in (1, 2, 3, 30, 31):
+        assert verify._chi2_sf(dof, 0.0) == 1.0
+        assert verify._chi2_sf(dof, 1e6) == 0.0
+        assert math.isnan(verify._chi2_sf(dof, math.nan))
+    with pytest.raises(ValueError, match="dof >= 1, got 0"):
+        verify._chi2_sf(0, 1.0)
 
 
 def test_chi2_two_sample_refuses_fewer_than_three_cells():
@@ -454,9 +525,9 @@ def test_chi2_two_sample_refuses_fewer_than_three_cells():
 
 
 def test_level1_chi2_p_value_pinned():
-    # where scipy.stats gets imported must not move the seed-7 p-value
+    # the closed form's seed-7 p-value; the exact one is 0.43875970972768999
     (chi2,) = [c for c in verify.run_check("c7", 7) if c.name == "c7_level1_chi2"]
-    assert chi2.computed == 0.4387597097276895
+    assert chi2.computed == 0.43875970972769
 
 
 @pytest.mark.parametrize(
@@ -475,13 +546,13 @@ def test_tree_and_gauss_values_pinned(check, pinned):
     assert {name: computed[name] for name in pinned} == pinned
 
 
-def test_no_command_loads_scipy_stats_or_signal():
+def test_no_command_loads_scipy_stats_signal_or_special():
     src = str(Path(iterlog.__file__).resolve().parents[1])
     code = (
         "import contextlib, io, sys\n"
         "from iterlog import cli\n"
         "def lazy_modules():\n"
-        "    names = ('scipy.stats', 'scipy.signal', 'concurrent.futures.process')\n"
+        "    names = ('scipy.stats', 'scipy.signal', 'scipy.special', 'concurrent.futures.process')\n"
         "    return [m for m in names if m in sys.modules]\n"
         "assert not lazy_modules(), lazy_modules()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -65,7 +65,7 @@ def test_b1_level_one_is_path_value():
 
 def test_b1_at_zero():
     # no grid cell lies below t = 0: the weights are empty and the sum is zero
-    assert _weights(lambda lag: lag, 0.0, 0.1).size == 0
+    assert _weights(lambda lag: lag, 0.0, 0.1)[0].size == 0
     path = sample_bm(1.0, 0.1, RngStream(5, 0))
     assert b2k(path, FkTable(2, renewal_table(GEOM, 1, 2)), 0.0) == 0.0
 
