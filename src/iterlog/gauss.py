@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import RngStream, map_blocks, row_chunks
+from .dist import RngStream, draw_rows, map_blocks
 from .renewal import ExponentialRenewal, RenewalTable, lattice_site, leading_term
 
 #: Replicas per block of the Gaussian ensembles; the block fixes the draws.
@@ -157,11 +157,9 @@ def b2k_ensemble(fk: FkTable, t: float, h: float, replicas: int, stream: RngStre
 
 
 def _weighted_sums(rng: np.random.Generator, rows: int, weights: np.ndarray, h: float) -> np.ndarray:
-    """sum_j weights_j dW_j for each of ``rows`` replicas, drawn
-    ``row_chunks(rows, weights.size)`` at a time from ``rng``, which draws what
-    one (rows, weights.size) array draws."""
+    """sum_j weights_j dW_j for each of ``rows`` replicas, drawn by
+    ``dist.draw_rows`` a chunk at a time from ``rng``, which draws what one
+    (rows, weights.size) array draws."""
     # per-row reduction instead of BLAS keeps results thread-count independent
-    return np.concatenate([
-        (rng.normal(0.0, math.sqrt(h), (r, weights.size)) * weights).sum(axis=1)
-        for r in row_chunks(rows, weights.size)
-    ])
+    return draw_rows(lambda rng, r: (rng.normal(0.0, math.sqrt(h), (r, weights.size)) * weights).sum(axis=1),
+                     rng, rows, weights.size)

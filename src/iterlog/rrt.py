@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmj import lil_statistic
-from .dist import Moments, RngStream, row_chunks
+from .dist import Moments, RngStream, draw_rows
 from .renewal import leading_term
 
 #: The profile statistic needs log log log n > 0.
@@ -87,7 +87,7 @@ def _levels(parents: np.ndarray, depth: int) -> np.ndarray:
     return lv.reshape(rows, n + 1)
 
 
-def _check_block(n: int, rows: int, k_max: int = 1) -> None:
+def _check_block(n: int, rows: int, k_max: int) -> None:
     if n < 1 or rows < 1:
         raise ValueError("need n >= 1 and replicas >= 1")
     if k_max < 1:
@@ -119,18 +119,13 @@ def grow_yule(n: int, k_max: int, stream: RngStream) -> ProfileTrace:
 
 def sample_profiles(n: int, k_max: int, stream: RngStream, replicas: int) -> np.ndarray:
     """Final profiles (X_n(1..k_max)) of many independent trees, one row each,
-    whose levels the kernel finds only up to k_max + 1.  The trees grow
-    ``row_chunks(replicas, n)`` at a time from the stream's one generator, so the
-    draws are those of one (replicas, n) block, and each chunk's profiles are
-    written in place, so memory beyond the output stays flat in ``replicas``."""
+    whose levels the kernel finds only up to k_max + 1.  ``dist.draw_rows``
+    grows the trees a chunk at a time from the stream's one generator, so the
+    draws are those of one (replicas, n) block, and writes each chunk's profiles
+    in place, so memory beyond the output stays flat in ``replicas``."""
     _check_block(n, replicas, k_max)
-    rng = stream.generator()
-    out = np.empty((replicas, k_max), dtype=np.int64)
-    start = 0
-    for r in row_chunks(replicas, n):
-        out[start : start + r] = _profiles(_levels(_parents(n, rng, r), k_max), k_max)
-        start += r
-    return out
+    return draw_rows(lambda rng, r: _profiles(_levels(_parents(n, rng, r), k_max), k_max),
+                     stream.generator(), replicas, n)
 
 
 def _profiles(levels: np.ndarray, k_max: int) -> np.ndarray:
@@ -142,15 +137,10 @@ def _profiles(levels: np.ndarray, k_max: int) -> np.ndarray:
 
 
 def bernoulli_level1_sample(n: int, stream: RngStream, replicas: int) -> np.ndarray:
-    """Batch of independent Bernoulli-sum draws (one per replica), from n
-    uniforms each, drawn ``row_chunks(replicas, n)`` replicas at a time as
-    one (replicas, n) array would draw them."""
-    _check_block(n, replicas)
-    rng = stream.generator()
-    j = np.arange(1, n + 1)
-    return np.concatenate(
-        [(rng.random((r, n)) * j < 1.0).sum(axis=1).astype(np.int64) for r in row_chunks(replicas, n)]
-    )
+    """Sums of independent Bernoulli(1/m) draws, m = 1..n, one per replica: level 1
+    of ``sample_profiles``, as vertex m joins the root when its uniform has u * m < 1,
+    so it reads that sampler's draws and is no independent reference for the law."""
+    return sample_profiles(n, 1, stream, replicas)[:, 0]
 
 
 def rrt_lil_statistic(xnk, n: int, k: int):
@@ -172,6 +162,8 @@ def enumerate_profiles(n: int, k_max: int | None = None) -> dict[tuple, float]:
     once.  The chain walks C(n+1, K+1) + sum_{j<K} C(n, j) states in all and
     refuses more than ``MAX_CHAIN_STATES``: the largest calls it takes (all
     levels at n = 18; K = 3 at n = 50) run about 2.3 s and 0.9 s on a Xeon core."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     k = n if k_max is None else min(k_max, n)
     _check_block(n, 1, k)
     small = k <= MAX_CHAIN_STATES.bit_length()  # else sum_{j<K} C(n, j) >= 2^K - 1 is past the limit

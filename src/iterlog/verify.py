@@ -216,7 +216,7 @@ def check_decomposition(seed: int) -> list[CheckResult]:
 
 
 def check_rrt(seed: int) -> list[CheckResult]:
-    """Profile law vs enumeration, level-1 law vs Bernoulli sums, mean vs H_n."""
+    """Profile law vs enumeration, level-1 count across two streams, mean vs H_n."""
     out = []
     # (a) total variation of the profile law at n = 6, trees drawn by uniform attachment
     exact = rrt.enumerate_profiles(6)
@@ -224,7 +224,7 @@ def check_rrt(seed: int) -> list[CheckResult]:
     tv = rrt.total_variation(rrt.profile_pmf_from_samples(samples), exact)
     out.append(CheckResult("c7_profile_tv", tv < 0.02, tv, 0.0, 0.02, "mc vs enumeration"))
 
-    # (b) two-sample chi-square for the level-1 count at n = 50
+    # (b) chi-square of the level-1 count at n = 50 on two streams of one sampler: stream independence, not the law
     grown = rrt.sample_profiles(50, 1, RngStream(seed, _offset("c7b")), 100_000)[:, 0]
     bern = rrt.bernoulli_level1_sample(50, RngStream(seed, _offset("c7b", 1)), 100_000)
     p_value = _chi2_two_sample(grown, bern)

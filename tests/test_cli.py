@@ -302,6 +302,16 @@ def test_rrt_needs_a_level(capsys):
     assert captured.err.count("need k_max >= 1") == 2
 
 
+def test_rrt_enumerate_needs_a_vertex(capsys):
+    # an enumeration has no replicas, so its refusal names n alone
+    assert run(["rrt", "--enumerate", "0"]) == 2
+    assert run(["rrt", "--enumerate", "-2", "--K", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("need n >= 1\n") == 2
+    assert "replicas" not in captured.err
+
+
 def test_rrt_needs_a_replica(capsys):
     assert run(["rrt", "--n", "5", "--replicas", "0"]) == 2
     assert run(["rrt", "--n", "5", "--replicas", "-3"]) == 2

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iterlog.dist import (
+    BLOCK_DRAWS,
     LatticeLaw,
     RngStream,
     SmoothLaw,
+    draw_rows,
     geometric_lattice,
     map_blocks,
     parse_law,
@@ -150,6 +152,27 @@ def test_map_blocks_rows_in_replica_order(total, block, monkeypatch):
     monkeypatch.setenv("ITERLOG_THREADS", "2")
     pooled = map_blocks(_tagged_rows, RngStream(3, 5), total, block, 7)
     assert np.array_equal(serial, pooled)
+
+
+@pytest.mark.parametrize("rows, cells, sizes", [
+    (3, BLOCK_DRAWS + 1, [1, 1, 1]),  # a row past the budget is a chunk alone
+    (5, 10, [5]),  # fewer rows than a chunk holds: one chunk
+    (9, BLOCK_DRAWS // 4, [4, 4, 1]),  # the last chunk is ragged
+], ids=["row_past_budget", "rows_below_step", "ragged"])
+def test_draw_rows_chunks_in_order(rows, cells, sizes):
+    seen, marker = [], object()
+
+    def tagged(rng, r):
+        # each row of chunk i is a 2 x 3 int16 grid of i: fn sets the trailing shape and dtype
+        assert rng is marker
+        seen.append(r)
+        return np.full((r, 2, 3), len(seen) - 1, dtype=np.int16)
+
+    got = draw_rows(tagged, marker, rows, cells)
+    assert seen == [0] + sizes  # the empty first call fixes the output before any chunk
+    assert got.dtype == np.int16
+    chunk = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    assert np.array_equal(got, np.broadcast_to(chunk[:, None, None], (rows, 2, 3)))
 
 
 def test_exponential_mean_law_of_large_numbers():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iterlog import gauss
-from iterlog.dist import LatticeLaw, RngStream, geometric_lattice, row_chunks
+from iterlog.dist import LatticeLaw, RngStream, draw_rows, geometric_lattice
 from iterlog.gauss import (
     BmPath,
     FkTable,
@@ -285,7 +285,9 @@ def test_bm_path_validation():
 def test_weighted_sums_chunks_draw_one_block():
     # 1000 steps: 65 rows a chunk, so a block of 200 rows fills three chunks and a ragged fourth
     steps, rows, h = 1000, 200, 0.01
-    assert row_chunks(rows, steps) == [65, 65, 65, 5]
+    sizes = []
+    draw_rows(lambda rng, r: sizes.append(r) or np.zeros(r), None, rows, steps)
+    assert sizes == [0, 65, 65, 65, 5]
     weights = (10.0 - h * np.arange(steps)) ** 2
     for b in (0, 3):
         dw = RngStream(17, 4, b).generator().normal(0.0, math.sqrt(h), (rows, steps))

@@ -1,9 +1,9 @@
 """Each ensemble decision has one owner: only ``dist`` opens substreams (in
 ``map_blocks``), only the ``cmj`` and ``gauss`` ensembles dispatch blocks
-through it, no module of ``iterlog`` reaches into another's
-``_``-prefixed names, and names kept only for the benchmark harness (the
-single-replica samplers and the two-call perturbed table chain) have no
-caller in the package."""
+through it, only ``dist.draw_rows`` splits a sampler's rows into chunks, no
+module of ``iterlog`` reaches into another's ``_``-prefixed names, and names
+kept only for the benchmark harness (the single-replica samplers and the
+two-call perturbed table chain) have no caller in the package."""
 
 import ast
 from pathlib import Path
@@ -29,10 +29,17 @@ def substream_openings(tree: ast.AST) -> list[int]:
     )
 
 
-def map_blocks_calls(tree: ast.AST) -> list[int]:
-    """Lines of ``map_blocks(...)`` calls, by bare or dotted name."""
+def calls(tree: ast.AST, name: str) -> list[int]:
+    """Lines of ``name(...)`` calls, by bare or dotted name."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and _name(node.func) == name)
+
+
+def chunk_steps(tree: ast.AST) -> list[int]:
+    """Lines that divide ``BLOCK_DRAWS`` by a row's cells, ``BLOCK_DRAWS // cells``: the step of a chunk loop."""
     return sorted(
-        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and _name(node.func) == "map_blocks"
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv) and _name(node.left) == "BLOCK_DRAWS"
     )
 
 
@@ -89,9 +96,28 @@ def test_only_dist_opens_substreams(path):
 def test_only_the_ensembles_dispatch_blocks():
     """Checks and commands draw through ``cmj``'s and ``gauss``'s ensembles or
     ``rrt.sample_profiles``; none of them hands blocks to ``map_blocks`` itself."""
-    assert [p.name for p in MODULES if map_blocks_calls(_tree(p))] == ["cmj.py", "gauss.py"]
+    assert [p.name for p in MODULES if calls(_tree(p), "map_blocks")] == ["cmj.py", "gauss.py"]
     bad = ast.parse("rows = map_blocks(fn, s, 10, 5)\nx = 1\nrows = dist.map_blocks(fn, s, 10, 5)\n")
-    assert map_blocks_calls(bad) == [1, 3]
+    assert calls(bad, "map_blocks") == [1, 3]
+
+
+def test_only_dist_chunks_rows():
+    """The tree and Gaussian samplers chunk their rows through ``dist.draw_rows``,
+    and no other module sizes a chunk of rows from ``BLOCK_DRAWS // cells``.
+    ``renewal.subadditivity_sweep`` also steps by ``BLOCK_DRAWS // cells``, but
+    through the lags of a table it already holds: it draws nothing, and each
+    block needs its first lag, which ``draw_rows`` does not hand its ``fn``."""
+    assert [p.name for p in MODULES if calls(_tree(p), "draw_rows")] == ["gauss.py", "rrt.py"]
+    assert [p.name for p in MODULES if chunk_steps(_tree(p))] == ["dist.py", "renewal.py"]
+    bad = ast.parse(
+        "step = max(1, dist.BLOCK_DRAWS // n)\n"
+        "rows = draw_rows(fn, rng, 10, n)\n"
+        "sizes = [min(step, rows - s) for s in range(0, rows, BLOCK_DRAWS // cells)]\n"
+        "out = dist.draw_rows(fn, rng, 10, n)\n"
+        "block = int(BLOCK_DRAWS / births)\n"
+    )
+    assert calls(bad, "draw_rows") == [2, 4]
+    assert chunk_steps(bad) == [1, 3]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iterlog.cmj import lil_statistic
-from iterlog.dist import RngStream, SmoothLaw, row_chunks
+from iterlog.dist import RngStream, SmoothLaw, draw_rows
 from iterlog.renewal import leading_term
 from iterlog.verify import check_rrt
 from iterlog.rrt import (
@@ -282,6 +282,7 @@ def test_bernoulli_mean_matches_harmonic():
 def test_level1_law_matches_bernoulli_sampler():
     from scipy import stats as sp_stats
 
+    # the Bernoulli sampler is the tree sampler's level 1, so this compares two streams of one sampler
     n, reps = 20, 20_000
     grown = sample_profiles(n, 1, RngStream(53, 0), reps)[:, 0]
     direct = bernoulli_level1_sample(n, RngStream(53, 1 << 20), reps)
@@ -357,7 +358,9 @@ CHUNKED_N, CHUNKED_REPS = 50, 4000
 
 def test_sample_profiles_chunks_draw_one_block():
     n, reps, k_max = CHUNKED_N, CHUNKED_REPS, 3
-    assert row_chunks(reps, n) == [1310, 1310, 1310, 70]
+    sizes = []
+    draw_rows(lambda rng, r: sizes.append(r) or np.zeros((r, k_max)), None, reps, n)
+    assert sizes == [0, 1310, 1310, 1310, 70]
     # one-shot: all parent uniforms as one (reps, n) array, then one level kernel
     u = RngStream(71, 5).generator().random((reps, n))
     levels = _levels((u * np.arange(1, n + 1)).astype(np.int32), n)
@@ -374,6 +377,13 @@ def test_bernoulli_sample_chunks_draw_one_block():
     got = bernoulli_level1_sample(n, RngStream(73, 2), reps)
     assert got.dtype == np.int64
     assert np.array_equal(got, expected)
+    # c7b's call is level 1 of the tree sampler on the same stream, bit for bit, and keeps the
+    # sha256 it had when it drew (u * m < 1).sum() itself
+    bern = bernoulli_level1_sample(50, RngStream(7, 3), 100_000)
+    assert bern.tobytes() == sample_profiles(50, 1, RngStream(7, 3), 100_000)[:, 0].tobytes()
+    assert hashlib.sha256(bern.astype("<i8").tobytes()).hexdigest() == (
+        "6cd7dbfb5c78a31874ad0c01d1252c6a9108a94b5c8501653606f015baf4b5a1"
+    )
 
 
 def test_samplers_refuse_empty_blocks():
@@ -385,6 +395,9 @@ def test_samplers_refuse_empty_blocks():
     ):
         with pytest.raises(ValueError, match="need n >= 1 and replicas >= 1"):
             call()
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^need n >= 1$"):
+            enumerate_profiles(n)
 
 
 @pytest.mark.parametrize(
