@@ -41,8 +41,8 @@ PMF_TOLERANCE = 1e-12
 #: (geometric) on a finite support.
 TRUNCATION_MASS = 1e-15
 
-#: Most sites a truncated geometric law may hold: its pmf, support and cdf
-#: then stay under about 96 MiB.
+#: Most sites a truncated geometric law may hold: its pmf and cdf then stay
+#: under about 64 MiB.
 _GEOMETRIC_MAX_SITES = 1 << 22
 
 
@@ -68,8 +68,6 @@ class LatticeLaw:
 
     span: float
     pmf: np.ndarray
-    #: All lattice sites {d, 2d, ..., Md}, including zero-mass ones.
-    support: np.ndarray = field(init=False, repr=False)
     _cdf: np.ndarray = field(init=False, repr=False)
     _guide: np.ndarray = field(init=False, repr=False)
 
@@ -95,10 +93,9 @@ class LatticeLaw:
             raise ValueError("empty law")
         if np.gcd.reduce(support) != 1:  # the law lives on a coarser lattice
             raise ValueError("span is not maximal: support indices share a common factor")
-        # sampling tables, built once: every site, the cdf that indexes it and
-        # its guide; the cdf is inf from the last site with mass on, so a
-        # uniform past a pmf truncated just below 1 draws that site
-        object.__setattr__(self, "support", self.span * np.arange(1, pmf.size + 1, dtype=np.float64))
+        # sampling tables, built once and free of the span: the cdf over site
+        # indices and its guide; the cdf is inf from the last site with mass on,
+        # so a uniform past a pmf truncated just below 1 draws that site
         cdf = np.cumsum(pmf)
         cdf[support[-1] - 1 :] = np.inf
         buckets = min(1 << 16, max(256, 1 << (4 * pmf.size - 1).bit_length()))  # about 4 a site
@@ -112,7 +109,6 @@ class LatticeLaw:
             raise ValueError("span must be finite and positive")
         law = copy.copy(self)
         object.__setattr__(law, "span", span)
-        object.__setattr__(law, "support", span * np.arange(1, self.pmf.size + 1, dtype=np.float64))
         return law
 
     def moments(self) -> Moments:
@@ -122,8 +118,8 @@ class LatticeLaw:
         return Moments(mean, second)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n sites by the inverse cdf of n uniforms: site
-        ``min(searchsorted(cdf, u, "right"), L - 1)`` for each u, L the last site with mass.
+        """n sites by the inverse cdf of n uniforms: ``span * (i + 1)`` for each u, where
+        ``i = min(searchsorted(cdf, u, "right"), L - 1)`` and L is the last site with mass.
 
         Bucket b of the G-bucket guide table (G a power of two) holds
         ``searchsorted(cdf, b/G, "right")``.  Both b/G and u*G are exact in
@@ -138,7 +134,8 @@ class LatticeLaw:
         idx = self._guide[(u * self._guide.size).astype(np.intp)]
         short = self._cdf[idx] <= u
         idx[short] = np.searchsorted(self._cdf, u[short], side="right")
-        return self.support[idx]
+        idx += 1
+        return self.span * idx  # fl(span * m), one rounding: span * i + span would round twice
 
 
 _SMOOTH_FAMILIES = ("exp", "gamma", "unif")
@@ -279,8 +276,7 @@ def draw_rows(fn, rng: np.random.Generator, rows: int, cells: int) -> np.ndarray
     """``fn(rng, r)`` for chunks of r = max(1, BLOCK_DRAWS // cells) of ``rows`` replicas of
     ``cells`` draws each, in order, the last ragged, written into one array: what one (rows,
     cells) array draws.  A first call with r = 0 draws nothing and sets the array's trailing
-    shape and dtype, so it is allocated before any chunk (after the first, it left repeated
-    ``verify`` runs 0.5 MiB higher)."""
+    shape and dtype, so it is allocated before any chunk."""
     step = max(1, BLOCK_DRAWS // cells)
     empty = fn(rng, 0)
     out = np.empty((rows, *empty.shape[1:]), dtype=empty.dtype)

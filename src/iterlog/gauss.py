@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import RngStream, draw_rows, map_blocks
-from .renewal import ExponentialRenewal, RenewalTable, lattice_site, leading_term
+from .renewal import MAX_TABLE_ENTRIES, ExponentialRenewal, RenewalTable, lattice_site, leading_term
 
 #: Replicas per block of the Gaussian ensembles; the block fixes the draws.
 BLOCK_ROWS = 128
@@ -54,8 +54,10 @@ def _cells_below(t: float, h: float) -> int:
 def _weights(weight, t: float, h: float) -> tuple[np.ndarray, float]:
     """weight(t - x_j) at the left points x_j = j h of the grid cells below t, and
     the sum's exact variance h * sum g^2, refused, before any draw, unless finite."""
+    if (cells := _cells_below(t, h)) > MAX_TABLE_ENTRIES:
+        raise ValueError(f"step too small: {cells} grid cells below t would exceed the memory guard")
     with np.errstate(over="ignore", invalid="ignore"):
-        g = weight(t - h * np.arange(_cells_below(t, h), dtype=np.float64))
+        g = weight(t - h * np.arange(cells, dtype=np.float64))
         if not math.isfinite(variance := h * float(np.dot(g, g))):
             raise ValueError(f"the weighted sum's variance h * sum g^2 = {variance} is not a finite float")
     return g, variance

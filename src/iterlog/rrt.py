@@ -23,7 +23,7 @@ import numpy as np
 
 from .cmj import lil_statistic
 from .dist import Moments, RngStream, draw_rows
-from .renewal import leading_term
+from .renewal import MAX_TABLE_ENTRIES, leading_term
 
 #: The profile statistic needs log log log n > 0.
 MIN_STAT_N = math.exp(math.e)
@@ -124,6 +124,8 @@ def sample_profiles(n: int, k_max: int, stream: RngStream, replicas: int) -> np.
     draws are those of one (replicas, n) block, and writes each chunk's profiles
     in place, so memory beyond the output stays flat in ``replicas``."""
     _check_block(n, replicas, k_max)
+    if n > MAX_TABLE_ENTRIES:
+        raise ValueError(f"tree too large: n = {n} would exceed the memory guard")
     return draw_rows(lambda rng, r: _profiles(_levels(_parents(n, rng, r), k_max), k_max),
                      stream.generator(), replicas, n)
 

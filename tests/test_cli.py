@@ -312,6 +312,17 @@ def test_rrt_enumerate_needs_a_vertex(capsys):
     assert "replicas" not in captured.err
 
 
+def test_impossible_sizes_are_usage_errors(capsys):
+    # refused before the arrays: 1e11 path cells would take 745 GiB, 1e12 vertices 7.3 TiB
+    gauss = ["gauss", "--k", "2", "--t", "100", "--h", "1e-9", "--replicas", "2"]
+    assert run(gauss) == 2
+    assert run(gauss + ["--law", "geom:p=0.5", "--format", "json"]) == 2
+    assert run(["rrt", "--n", "1000000000000", "--K", "2", "--replicas", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("would exceed the memory guard") == 3
+
+
 def test_rrt_needs_a_replica(capsys):
     assert run(["rrt", "--n", "5", "--replicas", "0"]) == 2
     assert run(["rrt", "--n", "5", "--replicas", "-3"]) == 2

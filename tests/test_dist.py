@@ -183,7 +183,7 @@ def test_exponential_mean_law_of_large_numbers():
 def test_lattice_samples_stay_on_support():
     law = geometric_lattice(0.5, span=0.25)
     draws = law.sample(RngStream(5, 0).generator(), 10_000)
-    assert set(np.unique(draws)) <= set(law.support)
+    assert set(np.unique(draws)) <= set(law.span * np.arange(1, law.pmf.size + 1))
 
 
 @pytest.mark.parametrize(
@@ -219,7 +219,7 @@ def _inverse_cdf(law, u):
     """Sites by the plain inverse cdf: a binary search of the fresh cumsum, a
     uniform past its end drawing the last site with mass."""
     idx = np.clip(np.searchsorted(np.cumsum(law.pmf), u, side="right"), 0, np.flatnonzero(law.pmf)[-1])
-    return law.support[idx]
+    return (law.span * np.arange(1, law.pmf.size + 1))[idx]
 
 
 def _edge_uniforms(law):
@@ -256,11 +256,38 @@ def test_guided_sample_is_the_inverse_cdf(law, n):
     assert rng.at == u.size and np.array_equal(np.concatenate(draws), _inverse_cdf(law, u))
 
 
-@pytest.mark.parametrize("law", SAMPLER_LAWS[:2] + [LatticeLaw(0.3, np.array([0.2, 0.0, 0.5, 0.3]))])
-def test_with_span_is_the_law_built_on_that_span(law):
+@pytest.fixture(scope="module")
+def long_law():
+    return geometric_lattice(1e-5)  # 3,453,861 sites
+
+
+@pytest.mark.parametrize(
+    "law, digest",
+    [
+        (SAMPLER_LAWS[0], "c671cd3808e6fa6386cc9bb3d6bcb42c2e063cc431603392bf0dfdd441b652db"),
+        (SAMPLER_LAWS[1], "e856e90dd8161431a1c4a825d65600bba29757b955d6fa52ccc7acb94f371808"),
+        (LatticeLaw(0.3, np.array([0.2, 0.0, 0.5, 0.3])),
+         "9c3ba2466e9afcbe8d0e032de40c96ac44a681d1b437fc637f5ff9ecb4f5d61a"),
+    ],
+    ids=["law0", "law1", "law2"],
+)
+def test_with_span_is_the_law_built_on_that_span(law, digest, long_law):
     moved, fresh = law.with_span(3.0), LatticeLaw(3.0, law.pmf)
-    assert moved == fresh and np.array_equal(moved.support, fresh.support) and law.span != 3.0
+    assert moved == fresh and moved._cdf is law._cdf and moved._guide is law._guide and law.span != 3.0
     assert np.array_equal(moved.sample(RngStream(2, 0).generator(), 5000), fresh.sample(RngStream(2, 0).generator(), 5000))
+    # a draw is span * site, one rounding: the draws at non-dyadic spans keep their bits
+    drawn = hashlib.sha256()
+    for span in (0.3, 0.1, 2 / 3, 1e-3, 7.0):
+        drawn.update(law.with_span(span).sample(RngStream(2, 0).generator(), 5000).tobytes())
+    assert drawn.hexdigest() == digest
+    # the new span costs no array of sites
+    tracemalloc.start()
+    try:
+        long_law.with_span(3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
     for span in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="span must be finite and positive"):
             law.with_span(span)
@@ -283,7 +310,7 @@ def test_long_law_builds_without_python_lists():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = law.pmf.nbytes + law.support.nbytes + law._cdf.nbytes + law._guide.nbytes
+    arrays = law.pmf.nbytes + law._cdf.nbytes + law._guide.nbytes
     assert peak < 2.5 * arrays
     assert law.pmf.size == 345371
     assert (m.mean, m.second_moment) == (10000.000000000755, 199989999.99991786)
@@ -363,7 +390,7 @@ def test_moment_identity_property(law):
 @given(lattice_laws(), st.integers(min_value=0, max_value=2**32))
 def test_lattice_sampling_support_property(law, seed):
     draws = law.sample(RngStream(seed, 0).generator(), 500)
-    support = set(law.support[law.pmf > 0])
+    support = set((law.span * np.arange(1, law.pmf.size + 1))[law.pmf > 0])
     assert set(np.unique(draws)) <= support
 
 

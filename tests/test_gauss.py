@@ -269,6 +269,13 @@ def test_ensembles_refuse_bad_steps(h):
             ensemble(weight, 1.0, h, 4, RngStream(0, 0))
 
 
+def test_ensembles_refuse_grids_past_the_memory_guard():
+    # 1e11 cells lie below t = 100 at h = 1e-9: refused before the weights are built
+    for ensemble, weight in ((b1k_ensemble, 2), (b2k_ensemble, FkTable(2, ExponentialRenewal()))):
+        with pytest.raises(ValueError, match="would exceed the memory guard"):
+            ensemble(weight, 100.0, 1e-9, 4, RngStream(0, 0))
+
+
 def test_bm_path_validation():
     with pytest.raises(ValueError):
         sample_bm(0.5, 1.0, RngStream(0, 0))

@@ -69,6 +69,7 @@ PERFBENCH_ONLY = {
     "renewal_sequence": "renewal.py",
     "perturbed_table": "renewal.py",
     "convolve_levels": "renewal.py",
+    "bernoulli_level1_sample": "rrt.py",
 }
 
 
@@ -144,6 +145,8 @@ def test_no_module_uses_a_name_kept_only_for_perfbench():
     and check c3 their perturbed tables through ``renewal_table(law, K, N, eta)``,
     so nothing in the package uses the single-replica samplers or the
     ``renewal_sequence`` -> ``perturbed_table`` -> ``convolve_levels`` chain.
+    Check c7b draws both its samples through ``rrt.sample_profiles`` too:
+    ``bernoulli_level1_sample`` is level 1 of that sampler, draw for draw.
     They are still defined only because the benchmark harness
     (``perfbench/`` and its tests) calls them; ROADMAP items 2 and 6 delete them
     once item 1 moves the harness off them."""
@@ -156,3 +159,6 @@ def test_no_module_uses_a_name_kept_only_for_perfbench():
     chain = ast.parse("t = renewal.convolve_levels(perturbed_table(renewal_sequence(law, n), d, eta, n, mu), 2)\n")
     assert sorted(perfbench_only_uses(chain, "verify.py")) == ["convolve_levels", "perturbed_table", "renewal_sequence"]
     assert perfbench_only_uses(chain, "renewal.py") == []
+    level1 = ast.parse("bern = rrt.bernoulli_level1_sample(50, s, 100)\n")
+    assert perfbench_only_uses(level1, "verify.py") == ["bernoulli_level1_sample"]
+    assert perfbench_only_uses(level1, "rrt.py") == []
