@@ -2,10 +2,11 @@
 
 Each individual born at time s produces offspring at s + S_n, the points of
 an independent copy of the walk, or at s + S_{n-1} + eta_n for a perturbed
-walk; Y_k(t) counts generation-k births in [0, t].  One kernel draws every
-generation: generation 1 is the offspring of a root at time 0, and only
-births inside [0, t] are materialized.  An ensemble simulates a block of
-replicas per kernel call, every birth labelled with its replica;
+walk; Y_k(t) counts generation-k births in [0, t].  One kernel walks every
+generation but the last of a memoryless walk, which is drawn (``_last_drawn``):
+generation 1 is the offspring of a root at time 0, and only births inside
+[0, t] are materialized.  An ensemble prepares its walk once and simulates a
+block of replicas per kernel call, every birth labelled with its replica;
 ``dist.map_blocks`` runs block b on substream b of one stream, so
 ensembles are reproducible under any parallel schedule.  A block's labelled
 level-1 births also give the placement term J_k of the split
@@ -23,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dist import BLOCK_DRAWS, LatticeLaw, Law, Moments, RngStream, SmoothLaw, map_blocks
-from .renewal import ExponentialRenewal, RenewalTable, lattice_site, leading_term, lil_constant
+from .renewal import MAX_TABLE_ENTRIES, ExponentialRenewal, RenewalTable, lattice_site, leading_term, lil_constant
 
 #: Most expected births per replica, over all generations, that a SimConfig accepts.
 POPULATION_CAP = 1e7
@@ -49,6 +50,8 @@ class SimConfig:
             raise ValueError("need at least one generation")
         if self.replicas < 1:
             raise ValueError("need at least one replica")
+        if self.replicas * self.levels > MAX_TABLE_ENTRIES:
+            raise ValueError(f"too many replicas: {self.replicas} x {self.levels} counts would exceed the memory guard")
         try:
             expected = _expected_births(self, self.levels)
         except OverflowError:  # t**k past the float range: refused like t = inf
@@ -92,7 +95,8 @@ def _children(
     n: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Birth times in [0, t] of every child of every parent, with their owners
-    and the count of each owner 0..n-1.
+    and the count of each owner 0..n-1: one walked generation (a drawn last
+    generation, ``_last_drawn``, never comes here).
 
     A parent born at s starts the walk s + S_n; its children are born at
     s + S_n, or at s + S_{n-1} + eta_n when eta is given, and inherit the
@@ -129,13 +133,16 @@ def _children(
     return np.concatenate(births), np.concatenate(labels), count
 
 
-def _poisson_last(config: SimConfig) -> bool:
-    """Whether the last generation is drawn, not walked: for an exponential
-    standard walk its count is Poisson(rate * sum_r (t - s_r)) over the
-    parents s_r (Poisson superposition), an exact shortcut."""
+def _last_drawn(config: SimConfig) -> bool:
+    """Whether the last generation is drawn, not walked: a parent at s of a
+    standard walk has Poisson(rate (t - s)) children by t under exponential
+    steps, and Binomial(t - s, p) in sites under geometric ones, whose renewal
+    epochs are a Bernoulli(p) process (Feller vol. I, XIII), so a replica's
+    count is one such draw on its parents' summed t - s_r, exact in law."""
     law = config.law
     exponential = isinstance(law, SmoothLaw) and law.family == "exp"
-    return config.levels > 1 and config.grid is None and config.eta is None and exponential
+    geometric = isinstance(law, LatticeLaw) and law.geometric_p is not None
+    return config.levels > 1 and config.grid is None and config.eta is None and (exponential or geometric)
 
 
 #: Most replicas in one block.
@@ -148,7 +155,7 @@ CLT_QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 def _block_size(config: SimConfig) -> int:
     """Replicas per block: BLOCK_DRAWS over the expected walked births of a
     replica, clamped to [1, MAX_BLOCK]."""
-    births = _expected_births(config, config.levels - _poisson_last(config))
+    births = _expected_births(config, config.levels - _last_drawn(config))
     return min(MAX_BLOCK, max(1, int(BLOCK_DRAWS / births)))
 
 
@@ -168,25 +175,29 @@ def _site_units(law: Law, eta: Law | None) -> tuple[int, int] | None:
     return (sites.denominator, sites.numerator) if abs(ratio - sites) <= 1e-9 * ratio else None
 
 
-def _simulate_block(
-    config: SimConfig, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray | None, tuple[np.ndarray, np.ndarray]]:
-    """Simulate n replicas from one generator.
+@dataclass(frozen=True)
+class _Walk:
+    """A config's walk, prepared once for all its blocks: the laws in the units
+    it walks in, d the time of one unit, the horizon and grid in those units,
+    the step moments, the generation count, and ``_last_drawn``."""
 
-    Returns counts (n, K), paths (n, K, grid size) when the config has a
-    grid, and the block's level-1 births as (times, replica indices), in
-    draw order, which within a replica is time order for a standard walk.
-    Every birth carries the index of its replica, so one bincount per
-    generation yields the counts of the whole block.
+    law: Law
+    eta: Law | None
+    d: float
+    t: float
+    grid: np.ndarray | None
+    m: Moments
+    levels: int
+    last_drawn: bool
 
-    A lattice walk of span d (with no eta, or a lattice eta of span p d / q)
-    runs in sites of d / q, where a birth is an integer, exact in float64, so
-    none on a site rounds past the horizon or a grid point; those become the
-    sites they fall on, and level-1 times are scaled back by d / q.  Any
-    other walk runs in float time.
-    """
-    t, law, eta, grid = config.horizon, config.law, config.eta, config.grid
-    d = 1.0
+
+def _prepare(config: SimConfig) -> _Walk:
+    """The config's walk.  A lattice walk of span d (with no eta, or a lattice
+    eta of span p d / q) runs in sites of d / q, where a birth is an integer,
+    exact in float64, so none on a site rounds past the horizon or a grid
+    point; those become the sites they fall on.  Any other walk runs in float
+    time."""
+    t, law, eta, grid, d = config.horizon, config.law, config.eta, config.grid, 1.0
     units = _site_units(law, eta)
     if units is not None:
         q, p = units
@@ -195,23 +206,40 @@ def _simulate_block(
         eta = None if eta is None else eta.with_span(float(p))
         t = float(lattice_site(t / d))
         grid = None if grid is None else lattice_site(grid / d)
-    m = law.moments()
-    poisson_last = _poisson_last(config)
-    counts = np.zeros((n, config.levels), dtype=np.int64)
-    paths = None if grid is None else np.zeros((n, config.levels, grid.size), dtype=np.int64)
+    return _Walk(law, eta, d, t, grid, law.moments(), config.levels, _last_drawn(config))
+
+
+def _simulate_block(
+    walk: _Walk, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray | None, tuple[np.ndarray, np.ndarray]]:
+    """Simulate n replicas of a prepared walk from one generator.
+
+    Returns counts (n, K), paths (n, K, grid size) when the config has a
+    grid, and the block's level-1 births as (times, replica indices), in
+    draw order, which within a replica is time order for a standard walk;
+    the times are scaled back from the walk's units by d.  Every birth
+    carries the index of its replica, so one bincount per generation yields
+    the counts of the whole block.
+    """
+    law, t, grid, levels = walk.law, walk.t, walk.grid, walk.levels
+    counts = np.zeros((n, levels), dtype=np.int64)
+    paths = None if grid is None else np.zeros((n, levels, grid.size), dtype=np.int64)
     gen, owners = np.zeros(n), np.arange(n)
-    for k in range(config.levels - poisson_last):
-        gen, owners, counts[:, k] = _children(rng, law, eta, gen, owners, t, m, n)
+    for k in range(levels - walk.last_drawn):
+        gen, owners, counts[:, k] = _children(rng, law, walk.eta, gen, owners, t, walk.m, n)
         if k == 0:
-            gen1 = gen * d, owners
+            gen1 = gen * walk.d, owners
         if paths is not None:
             # cell j of a replica holds its births in (grid[j-1], grid[j]]
             cells = owners * (grid.size + 1) + np.searchsorted(grid, gen)
             per_cell = np.bincount(cells, minlength=n * (grid.size + 1)).reshape(n, -1)
             paths[:, k] = np.cumsum(per_cell, axis=1)[:, :-1]
-    if poisson_last:
+    if walk.last_drawn:
         exposure = np.bincount(owners, weights=t - gen, minlength=n)
-        counts[:, -1] = rng.poisson(law.params["rate"] * exposure)
+        if isinstance(law, SmoothLaw):
+            counts[:, -1] = rng.poisson(law.params["rate"] * exposure)
+        else:
+            counts[:, -1] = rng.binomial(exposure.astype(np.int64), law.geometric_p)
     return counts, paths, gen1
 
 
@@ -224,7 +252,7 @@ def simulate_generations(config: SimConfig, replica: int) -> SimOutcome:
     [0, t] are materialized.
     """
     rng = RngStream(config.seed, config.stream_offset + replica).generator()
-    counts, paths, _ = _simulate_block(config, 1, rng)
+    counts, paths, _ = _simulate_block(_prepare(config), 1, rng)
     return SimOutcome(counts[0], None if paths is None else paths[0])
 
 
@@ -331,19 +359,20 @@ def _column_moments(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ensemble(fn, config: SimConfig, *extra, workers: int | None = None) -> np.ndarray:
-    """Rows of ``fn(rng, rows, config, *extra)`` for the config's replicas, in
-    blocks of ``_block_size(config)``; block b draws from substream b of stream
-    (seed, stream_offset), so the rows never depend on the worker count."""
+    """Rows of ``fn(rng, rows, walk, *extra)`` for the config's replicas, with its
+    walk prepared once, in blocks of ``_block_size(config)``; block b draws from
+    substream b of stream (seed, stream_offset), so the rows never depend on the
+    worker count."""
     stream = RngStream(config.seed, config.stream_offset)
-    return map_blocks(fn, stream, config.replicas, _block_size(config), config, *extra, workers=workers)
+    return map_blocks(fn, stream, config.replicas, _block_size(config), _prepare(config), *extra, workers=workers)
 
 
-def _count_rows(rng: np.random.Generator, rows: int, config: SimConfig) -> np.ndarray:
-    return _simulate_block(config, rows, rng)[0]
+def _count_rows(rng: np.random.Generator, rows: int, walk: _Walk) -> np.ndarray:
+    return _simulate_block(walk, rows, rng)[0]
 
 
-def _path_rows(rng: np.random.Generator, rows: int, config: SimConfig) -> np.ndarray:
-    return _simulate_block(config, rows, rng)[1]
+def _path_rows(rng: np.random.Generator, rows: int, walk: _Walk) -> np.ndarray:
+    return _simulate_block(walk, rows, rng)[1]
 
 
 def path_ensemble(config: SimConfig) -> np.ndarray:
@@ -374,9 +403,9 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> MonteCarloSumm
     return MonteCarloSummary(config, counts, means, variances, clt, lil, centers)
 
 
-def _decomposition_rows(rng: np.random.Generator, rows: int, config: SimConfig, k: int, v_eval) -> np.ndarray:
-    counts, _, (births, owners) = _simulate_block(config, rows, rng)
-    return decompose_fluctuation(births, owners, counts[:, k - 1], k, config.horizon, v_eval)
+def _decomposition_rows(rng: np.random.Generator, rows: int, walk: _Walk, k: int, t: float, v_eval) -> np.ndarray:
+    counts, _, (births, owners) = _simulate_block(walk, rows, rng)
+    return decompose_fluctuation(births, owners, counts[:, k - 1], k, t, v_eval)
 
 
 def decomposition_ensemble(
@@ -386,4 +415,4 @@ def decomposition_ensemble(
     blocks and on the substreams of ``monte_carlo``."""
     if k < 2 or k > config.levels:
         raise ValueError("decomposition level must satisfy 2 <= k <= K")
-    return _ensemble(_decomposition_rows, config, k, v_eval)
+    return _ensemble(_decomposition_rows, config, k, config.horizon, v_eval)

@@ -68,6 +68,7 @@ class LatticeLaw:
 
     span: float
     pmf: np.ndarray
+    geometric_p: float | None = field(default=None, init=False)  # set by geometric_lattice; not compared
     _cdf: np.ndarray = field(init=False, repr=False)
     _guide: np.ndarray = field(init=False, repr=False)
 
@@ -103,8 +104,8 @@ class LatticeLaw:
         object.__setattr__(self, "_guide", np.searchsorted(cdf, np.arange(buckets) / buckets, side="right"))
 
     def with_span(self, span: float) -> "LatticeLaw":
-        """This pmf on the lattice of ``span``, keeping the checked pmf and its
-        sampling tables, which do not depend on the span."""
+        """This pmf on the lattice of ``span``, keeping the checked pmf, its
+        sampling tables and ``geometric_p``, none of which depend on the span."""
         if not 0 < span < math.inf:
             raise ValueError("span must be finite and positive")
         law = copy.copy(self)
@@ -200,6 +201,10 @@ def geometric_lattice(p: float, span: float = 1.0) -> LatticeLaw:
     Renormalization matters: a mass deficit of 1e-15 left in place would
     compound quadratically through the level convolutions and show up at
     the 1e-9 scale on horizons of a few thousand sites.
+
+    It records p as ``geometric_p``, from which a branching ensemble draws its
+    last generation as a binomial: that draw follows the untruncated law,
+    which differs from this one by less than 1e-15 a step.
     """
     if not 0 < p < 1:
         raise ValueError("geometric parameter must lie in (0, 1)")
@@ -214,7 +219,9 @@ def geometric_lattice(p: float, span: float = 1.0) -> LatticeLaw:
         m += 1
     k = np.arange(1, m + 1, dtype=np.float64)
     pmf = p * (1.0 - p) ** (k - 1.0)
-    return LatticeLaw(span, pmf / math.fsum(pmf))
+    law = LatticeLaw(span, pmf / math.fsum(pmf))
+    object.__setattr__(law, "geometric_p", p)
+    return law
 
 
 @dataclass

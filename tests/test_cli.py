@@ -323,6 +323,14 @@ def test_impossible_sizes_are_usage_errors(capsys):
     assert captured.err.count("would exceed the memory guard") == 3
 
 
+def test_mc_refuses_an_impossible_replica_count(capsys):
+    # 3e14 counts would take 2.4 PB: refused before any block is drawn
+    assert run(["mc", "--law", "geom:p=0.5", "--K", "3", "--t", "100", "--replicas", "100000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too many replicas: 100000000000000 x 3 counts would exceed the memory guard" in captured.err
+
+
 def test_rrt_needs_a_replica(capsys):
     assert run(["rrt", "--n", "5", "--replicas", "0"]) == 2
     assert run(["rrt", "--n", "5", "--replicas", "-3"]) == 2

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from iterlog import cmj, dist
+from iterlog import cmj, dist, verify
 from iterlog.cmj import (
     SimConfig,
     clt_statistic,
@@ -18,7 +18,7 @@ from iterlog.cmj import (
     simulate_generations,
 )
 from iterlog.dist import LatticeLaw, RngStream, SmoothLaw, geometric_lattice
-from iterlog.renewal import ExponentialRenewal, leading_term, renewal_table
+from iterlog.renewal import MAX_TABLE_ENTRIES, ExponentialRenewal, leading_term, renewal_table
 
 EXP1 = SmoothLaw("exp", {"rate": 1.0})
 UNIT = LatticeLaw(1.0, np.array([1.0]))
@@ -131,10 +131,10 @@ def test_lattice_counts_on_every_site(d, pmf):
         assert np.array_equal(counts, np.full_like(counts, exact[0, n]) if deterministic else same_walk)
     # Y_1 and Y_2 at every site at once, through the grid paths of a 64-replica block
     config = SimConfig(law, 2, SITES[-1] * d, grid=SITES * d, seed=10)
-    paths = cmj._simulate_block(config, 64, RngStream(10, 0).generator())[1]
+    paths = cmj._simulate_block(cmj._prepare(config), 64, RngStream(10, 0).generator())[1]
     unit_config = SimConfig(unit, 2, float(SITES[-1]), grid=SITES.astype(float), seed=10)
     unit_rng = RngStream(10, 0).generator()
-    expected = exact if deterministic else cmj._simulate_block(unit_config, 64, unit_rng)[1]
+    expected = exact if deterministic else cmj._simulate_block(cmj._prepare(unit_config), 64, unit_rng)[1]
     assert np.array_equal(paths, np.broadcast_to(expected, paths.shape))
 
 
@@ -339,7 +339,7 @@ BLOCK_CONFIGS = [
         64,
     ),
     (SimConfig(EXP1, levels=3, horizon=20.0, seed=6, replicas=100), 64),
-    (SimConfig(GEOM, levels=3, horizon=60.0, seed=7, replicas=40), 13),
+    (SimConfig(GEOM, levels=3, horizon=60.0, seed=7, replicas=40), 64),
 ]
 
 
@@ -349,11 +349,11 @@ def test_block_size_from_config(config, block):
 
 
 def test_block_size_near_population_cap():
-    # lattice walks materialize every level: about 9.9e6 births per replica
-    config = SimConfig(GEOM, levels=2, horizon=8900.0, seed=0)
+    # a perturbed walk materializes every level: about 9.9e6 births per replica
+    config = SimConfig(GEOM, levels=2, horizon=8900.0, eta=GEOM, seed=0)
     assert cmj.POPULATION_CAP == 1e7
     assert cmj._block_size(config) == 1
-    # so does an exponential walk with a grid (no Poisson last generation)
+    # so does an exponential walk with a grid (no drawn last generation)
     grid = np.array([0.0, 4400.0])
     assert cmj._block_size(SimConfig(EXP1, levels=2, horizon=4400.0, grid=grid)) == 1
 
@@ -377,7 +377,7 @@ def test_ensembles_independent_of_worker_count(config, block, monkeypatch):
     for b in (0, 1):
         rows = range(config.replicas)[b * block : (b + 1) * block]
         rng = RngStream(config.seed, config.stream_offset, b).generator()
-        counts, _, _ = cmj._simulate_block(config, len(rows), rng)
+        counts, _, _ = cmj._simulate_block(cmj._prepare(config), len(rows), rng)
         assert np.array_equal(runs[0][rows], counts)
     if config.law == EXP1:
         v_eval = ExponentialRenewal(1.0)
@@ -402,7 +402,7 @@ def test_block_paths_recount_each_replica(monkeypatch):
 
     monkeypatch.setattr(cmj, "_children", spy)
     n = 20
-    counts, paths, (births1, owners1) = cmj._simulate_block(config, n, RngStream(11, 0).generator())
+    counts, paths, (births1, owners1) = cmj._simulate_block(cmj._prepare(config), n, RngStream(11, 0).generator())
     assert paths.shape == (n, 3, config.grid.size) and len(drawn) == 3
     for r in range(n):
         times = np.sort(births1[owners1 == r])
@@ -420,7 +420,7 @@ def test_retained_times_per_replica(law, levels, t):
     # births are not contiguous in the block, yet still in time order
     config = SimConfig(law, levels=levels, horizon=t, seed=3)
     n = cmj._block_size(config) + 3
-    counts, _, (births1, owners1) = cmj._simulate_block(config, n, RngStream(3, 0).generator())
+    counts, _, (births1, owners1) = cmj._simulate_block(cmj._prepare(config), n, RngStream(3, 0).generator())
     assert births1.shape == owners1.shape and set(owners1.tolist()) <= set(range(n))
     assert [np.count_nonzero(owners1 == r) for r in range(n)] == list(counts[:, 0])
     for r in range(n):
@@ -434,18 +434,96 @@ def test_exponential_means_four_sigma_gate():
     # Poisson superposition over each replica's level-2 births
     t = 30.0
     config = SimConfig(EXP1, levels=3, horizon=t, seed=27, replicas=4_000)
-    assert cmj._poisson_last(config)
+    assert cmj._last_drawn(config)
     summary = monte_carlo(config, workers=1)
     for k in (1, 2, 3):
         se = math.sqrt(summary.variances[k - 1] / config.replicas)
         assert abs(summary.means[k - 1] - t**k / math.factorial(k)) <= 4.0 * se
 
 
+# (law, K, t): geometric walks whose last generation is one binomial draw per
+# replica; the span-0.1 walk runs in sites, so at one seed it draws the counts
+# of the last config (100 sites, K = 2)
+GEOMETRIC_DRAWN = [
+    (geometric_lattice(0.5), 3, 60.0),
+    (geometric_lattice(0.5, span=0.1), 2, 10.0),
+    (geometric_lattice(0.2), 3, 40.0),
+    (geometric_lattice(0.5), 2, 100.0),
+]
+GEOMETRIC_IDS = ["p0.5-K3", "p0.5-d0.1-K2", "p0.2-K3", "p0.5-K2"]
+
+
+@pytest.mark.parametrize("law, levels, t", GEOMETRIC_DRAWN, ids=GEOMETRIC_IDS)
+def test_geometric_means_four_sigma_gate(law, levels, t):
+    # Binomial(sum_r (t - s_r), p) over each replica's level-(K-1) sites: every
+    # level's mean against the exact table
+    config = SimConfig(law, levels=levels, horizon=t, seed=29, replicas=4_000)
+    assert cmj._last_drawn(config)
+    summary = monte_carlo(config, workers=1)
+    n = round(t / law.span)
+    table = renewal_table(law, levels, n)
+    for k in range(1, levels + 1):
+        se = math.sqrt(summary.variances[k - 1] / config.replicas)
+        assert abs(summary.means[k - 1] - table.level(k)[n]) <= 4.0 * se
+
+
+@pytest.mark.parametrize("law, levels, t", GEOMETRIC_DRAWN, ids=GEOMETRIC_IDS)
+def test_geometric_drawn_last_level_has_the_walked_law(law, levels, t):
+    # a grid walks every level, so the two ensembles draw Y_K two ways, on
+    # streams of their own
+    drawn = SimConfig(law, levels=levels, horizon=t, seed=30, replicas=4_000)
+    walked = SimConfig(law, levels=levels, horizon=t, grid=np.array([t]), seed=30, replicas=4_000, stream_offset=1)
+    assert not cmj._last_drawn(walked)
+    y_drawn, y_walked = (monte_carlo(c, workers=1).counts[:, -1] for c in (drawn, walked))
+    assert verify._chi2_two_sample(y_drawn, y_walked) > 1e-3
+
+
+def test_lattice_law_with_the_geometric_pmf_walks_every_level():
+    # only geometric_lattice records p: the same pmf given as a lattice law
+    # walks its last generation, drawing what the geometric law drew before its
+    # last generation became a binomial (that law's pinned digest then)
+    law = dist.parse_law("lattice:d=1;p=" + ",".join(repr(float(x)) for x in GEOM.pmf))
+    assert law == GEOM and law.geometric_p is None
+    config = SimConfig(law, levels=3, horizon=60.0, seed=7, replicas=300)
+    assert not cmj._last_drawn(config) and cmj._block_size(config) == 13
+    counts = monte_carlo(config, workers=1).counts
+    walked = "ec61b6e8a11728746eb1dd2fa52fce7562130e8e8b06d8d99a07fb80c50f8455"
+    assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == walked
+
+
+def test_ensemble_prepares_its_walk_once(monkeypatch):
+    # the O(M) moments sum runs a fixed number of times, not once per block
+    moments, calls = LatticeLaw.moments, []
+
+    def counted(law):
+        calls.append(law.span)
+        return moments(law)
+
+    per_run = []
+    for replicas, blocks in ((3, 1), (30, 10)):
+        config = SimConfig(GEOM, levels=2, horizon=400.0, eta=GEOM, seed=2, replicas=replicas)
+        assert -(-replicas // cmj._block_size(config)) == blocks
+        monkeypatch.setattr(LatticeLaw, "moments", counted)
+        calls.clear()
+        monte_carlo(config, workers=1)
+        monkeypatch.setattr(LatticeLaw, "moments", moments)
+        per_run.append(len(calls))
+    assert per_run[0] == per_run[1] <= 3
+
+
+def test_config_refuses_replica_counts_past_the_memory_guard():
+    # sizes no machine could hold: refused before any block is drawn
+    with pytest.raises(ValueError, match="memory guard"):
+        SimConfig(GEOM, levels=3, horizon=100.0, replicas=10**14)
+    with pytest.raises(ValueError, match="memory guard"):
+        SimConfig(EXP1, levels=3, horizon=1.0, replicas=MAX_TABLE_ENTRIES // 3 + 1)
+
+
 # sha256 of the little-endian int64 counts of 300 replicas at t = 60, K = 3,
 # seed 7: the kernel's draws, pinned so a speed change cannot move them.
 KERNEL_DIGESTS = [
     (EXP1, None, "4ca96de57cdfd9ac28e6c49625301999d260bdae97250220eaf105c06c70bad8"),
-    (GEOM, None, "ec61b6e8a11728746eb1dd2fa52fce7562130e8e8b06d8d99a07fb80c50f8455"),
+    (GEOM, None, "7ca70298bc8faef544456baa16fa117847112b53e24885f29fac57257fb78902"),
     (GEOM, GEOM, "1863ee9faa1d55e230ad0d9fb5db696f8015ec892c68137cbfd890348c5aaf6b"),
 ]
 

@@ -56,6 +56,17 @@ def test_geometric_support_from_closed_form_keeps_every_bit(p):
     assert geometric_lattice(p).pmf.tobytes() == (pmf / math.fsum(pmf.tolist())).tobytes()
 
 
+def test_geometric_law_records_p_apart_from_equality():
+    # the recorded p survives a change of span and takes no part in equality
+    law = geometric_lattice(0.2)
+    assert law.geometric_p == 0.2 and law.with_span(0.1).geometric_p == 0.2
+    same_pmf = LatticeLaw(1.0, law.pmf)
+    assert same_pmf.geometric_p is None and same_pmf == law and law.with_span(0.1) == same_pmf.with_span(0.1)
+    spec = "lattice:d=1;p=" + ",".join(repr(float(x)) for x in law.pmf)
+    assert parse_law(spec) == law and parse_law(spec).geometric_p is None
+    assert parse_law("geom:p=0.2,d=0.5").geometric_p == 0.2
+
+
 def test_point_mass_moments():
     m = LatticeLaw(1.0, np.array([1.0])).moments()
     assert m.mean == 1.0

@@ -1,6 +1,8 @@
 """Each ensemble decision has one owner: only ``dist`` opens substreams (in
 ``map_blocks``), only the ``cmj`` and ``gauss`` ensembles dispatch blocks
-through it, only ``dist.draw_rows`` splits a sampler's rows into chunks, no
+through it, only ``dist.draw_rows`` splits a sampler's rows into chunks, only
+``dist.geometric_lattice`` records a law's geometric parameter (so a
+``lattice:`` law never takes the simulator's binomial last generation), no
 module of ``iterlog`` reaches into another's ``_``-prefixed names, and names
 kept only for the benchmark harness (the single-replica samplers and the
 two-call perturbed table chain) have no caller in the package."""
@@ -57,6 +59,34 @@ def private_reaches(tree: ast.AST) -> list[str]:
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
             if node.attr.startswith("_") and not node.attr.startswith("__"):
                 found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def recorded_p_setters(tree: ast.AST) -> list[str]:
+    """Enclosing functions (``<module>`` at top level) of each statement or call that
+    sets ``geometric_p``: an assignment to ``x.geometric_p``, a ``setattr`` or
+    ``__setattr__`` naming it, or a ``geometric_p=`` keyword."""
+
+    def sets(node: ast.AST) -> bool:
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            return any(isinstance(t, ast.Attribute) and t.attr == "geometric_p" for t in targets)
+        if isinstance(node, ast.Call):
+            named = _name(node.func) in ("setattr", "__setattr__") and any(
+                isinstance(a, ast.Constant) and a.value == "geometric_p" for a in node.args
+            )
+            return named or any(kw.arg == "geometric_p" for kw in node.keywords)
+        return False
+
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if sets(child):
+                found.append(where)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(tree, "<module>")
     return found
 
 
@@ -162,3 +192,21 @@ def test_no_module_uses_a_name_kept_only_for_perfbench():
     level1 = ast.parse("bern = rrt.bernoulli_level1_sample(50, s, 100)\n")
     assert perfbench_only_uses(level1, "verify.py") == ["bernoulli_level1_sample"]
     assert perfbench_only_uses(level1, "rrt.py") == []
+
+
+def test_only_geometric_lattice_records_p():
+    """``cmj`` draws a walk's last generation as one binomial only for a law whose
+    ``geometric_p`` is set, and only ``dist.geometric_lattice`` sets it: a
+    ``lattice:`` law with a geometric-looking pmf is walked to the end."""
+    found = {p.name: recorded_p_setters(_tree(p)) for p in MODULES}
+    assert {name: where for name, where in found.items() if where} == {"dist.py": ["geometric_lattice"]}
+    bad = ast.parse(
+        "def parse(law, p):\n"
+        "    law.geometric_p = p\n"
+        "    object.__setattr__(law, 'geometric_p', p)\n"
+        "    return law\n"
+        "law = dataclasses.replace(law, geometric_p=0.5)\n"
+        "setattr(law, 'geometric_p', 0.5)\n"
+        "p = law.geometric_p\n"
+    )
+    assert recorded_p_setters(bad) == ["parse", "parse", "<module>", "<module>"]
