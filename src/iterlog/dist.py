@@ -71,6 +71,7 @@ class LatticeLaw:
     geometric_p: float | None = field(default=None, init=False)  # set by geometric_lattice; not compared
     _cdf: np.ndarray = field(init=False, repr=False)
     _guide: np.ndarray = field(init=False, repr=False)
+    _moments: Moments | None = field(default=None, init=False, repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, LatticeLaw):
@@ -104,19 +105,24 @@ class LatticeLaw:
         object.__setattr__(self, "_guide", np.searchsorted(cdf, np.arange(buckets) / buckets, side="right"))
 
     def with_span(self, span: float) -> "LatticeLaw":
-        """This pmf on the lattice of ``span``, keeping the checked pmf, its
-        sampling tables and ``geometric_p``, none of which depend on the span."""
+        """This pmf on the lattice of ``span``, keeping the checked pmf, its sampling
+        tables and ``geometric_p`` (free of the span), and any moments summed at that span."""
         if not 0 < span < math.inf:
             raise ValueError("span must be finite and positive")
         law = copy.copy(self)
         object.__setattr__(law, "span", span)
+        if span != self.span:
+            object.__setattr__(law, "_moments", None)
         return law
 
     def moments(self) -> Moments:
-        m = np.arange(1, self.pmf.size + 1, dtype=np.float64)
-        mean = math.fsum(self.span * m * self.pmf)
-        second = math.fsum((self.span * m) ** 2 * self.pmf)
-        return Moments(mean, second)
+        """The exact moments, two O(M) sums taken on the first call only."""
+        if self._moments is None:
+            m = np.arange(1, self.pmf.size + 1, dtype=np.float64)
+            mean = math.fsum(self.span * m * self.pmf)
+            second = math.fsum((self.span * m) ** 2 * self.pmf)
+            object.__setattr__(self, "_moments", Moments(mean, second))
+        return self._moments
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n sites by the inverse cdf of n uniforms: ``span * (i + 1)`` for each u, where

@@ -33,7 +33,7 @@ _BLOCKS = {
 #: Sub-stream spacing inside a check's block.
 _SUB = 1 << 20
 
-#: Fewest pooled counts in a cell of the two-sample chi-square table.
+#: Fewest expected counts in a pooled cell of the chi-square test.
 MIN_POOLED = 25
 
 
@@ -216,7 +216,7 @@ def check_decomposition(seed: int) -> list[CheckResult]:
 
 
 def check_rrt(seed: int) -> list[CheckResult]:
-    """Profile law vs enumeration, level-1 count across two streams, mean vs H_n."""
+    """Profile law vs enumeration, level-1 law vs the exact chain, mean vs H_n."""
     out = []
     # (a) total variation of the profile law at n = 6, trees drawn by uniform attachment
     exact = rrt.enumerate_profiles(6)
@@ -224,13 +224,11 @@ def check_rrt(seed: int) -> list[CheckResult]:
     tv = rrt.total_variation(rrt.profile_pmf_from_samples(samples), exact)
     out.append(CheckResult("c7_profile_tv", tv < 0.02, tv, 0.0, 0.02, "mc vs enumeration"))
 
-    # (b) chi-square of the level-1 count at n = 50 on two streams of one sampler: stream independence, not the law
+    # (b) chi-square of the level-1 count at n = 50 against its exact law
+    law = rrt.enumerate_profiles(50, 1)
     grown = rrt.sample_profiles(50, 1, RngStream(seed, _offset("c7b")), 100_000)[:, 0]
-    other = rrt.sample_profiles(50, 1, RngStream(seed, _offset("c7b", 1)), 100_000)[:, 0]
-    p_value = _chi2_two_sample(grown, other)
-    out.append(
-        CheckResult("c7_level1_chi2", p_value > 0.01, p_value, "p > 0.01", 0.01, "mc vs mc")
-    )
+    p_value = _chi2_one_sample(grown, np.array([law.get((x,), 0.0) for x in range(51)]))
+    out.append(CheckResult("c7_level1_chi2", p_value > 0.01, p_value, "p > 0.01", 0.01, "mc vs exact law"))
 
     # (c) mean of the level-1 count at n = 100
     n, reps = 100, 10_000
@@ -244,32 +242,26 @@ def check_rrt(seed: int) -> list[CheckResult]:
     return out
 
 
-def _chi2_two_sample(x: np.ndarray, y: np.ndarray) -> float:
-    lo = int(min(x.min(), y.min()))
-    hi = int(max(x.max(), y.max()))
-    cx, cy = (np.bincount(v - lo, minlength=hi - lo + 1) for v in (x, y))
-    mx, my = [], []
-    ax = ay = 0
-    for i in range(cx.size):
-        ax += int(cx[i])
-        ay += int(cy[i])
-        if ax + ay >= MIN_POOLED:
-            mx.append(ax)
-            my.append(ay)
-            ax = ay = 0
-    if not mx:
-        raise ValueError(f"pooled count {ax + ay} never reaches min_pooled={MIN_POOLED}")
-    if ax + ay:
-        mx[-1] += ax
-        my[-1] += ay
-    if len(mx) < 3:  # one degree of freedom would want Yates' correction
-        raise ValueError(f"the two-sample test needs 3 or more pooled cells, got {len(mx)}")
-    # Pearson's statistic as scipy.stats.chi2_contingency computes it, bit for bit,
-    # read against the chi-square law's closed form
-    observed = np.array([mx, my], dtype=np.float64)
-    expected = observed.sum(axis=1, keepdims=True) * observed.sum(axis=0, keepdims=True) / observed.sum()
-    stat = ((observed - expected) ** 2 / expected).sum()
-    return _chi2_sf(len(mx) - 1, float(stat))
+def _chi2_one_sample(sample: np.ndarray, pmf: np.ndarray) -> float:
+    """P-value of Pearson's test of an integer sample against the law ``pmf`` on
+    0..n.  Sites pool in ascending order, a cell closing once its expected count
+    reaches ``MIN_POOLED``; a tail short of that, and any value past site n, join
+    the last cell.  The statistic sum (O - E)^2 / E is summed as
+    ``scipy.stats.chisquare`` sums it and read against the chi-square law with
+    cells - 1 degrees of freedom."""
+    counts = np.bincount(sample, minlength=pmf.size)
+    counts[pmf.size - 1] += counts[pmf.size :].sum()
+    cells, o, e = [], 0, 0.0
+    for count, mass in zip(counts[: pmf.size].tolist(), (sample.size * pmf).tolist()):
+        o, e = o + count, e + mass
+        if e >= MIN_POOLED:
+            cells.append((o, e))
+            o, e = 0, 0.0
+    if len(cells) < 2:
+        raise ValueError(f"the one-sample test needs 2 or more pooled cells, got {len(cells)}")
+    cells[-1] = (cells[-1][0] + o, cells[-1][1] + e)
+    observed, expected = np.array(cells, dtype=np.float64).T
+    return _chi2_sf(len(cells) - 1, float(((observed - expected) ** 2 / expected).sum()))
 
 
 def _chi2_sf(dof: int, x: float) -> float:

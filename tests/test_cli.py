@@ -462,35 +462,52 @@ def test_lil_extrema_series_independent_of_worker_count(monkeypatch):
     assert few[1].tobytes() == serial[1][:20].tobytes()
 
 
-def test_chi2_two_sample_too_few_counts():
-    with pytest.raises(ValueError, match="min_pooled=25"):
-        verify._chi2_two_sample(np.array([1, 2, 3]), np.array([1, 2]))
+def _pooled(weights: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(expected, observed) cells of integer expected counts ``weights`` on 0..n and
+    observed ``counts`` on 0..: a cell closes at the site where its expected count
+    reaches MIN_POOLED, and the tail and any count past site n join the last cell."""
+    cells, start, total = [], 0, 0
+    for i, w in enumerate(weights.tolist()):
+        total += w
+        if total >= verify.MIN_POOLED:
+            cells.append([start, i + 1])
+            start, total = i + 1, 0
+    cells[-1][1] = counts.size
+    return tuple(np.array([v[i:j].sum() for i, j in cells], dtype=np.float64) for v in (weights, counts))
 
 
-def _samples_of_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two samples whose counts on the values 0..m-1 are the rows of a 2 x m table."""
-    values = np.arange(table.shape[1])
-    return np.repeat(values, table[0]), np.repeat(values, table[1])
-
-
-def test_chi2_two_sample_matches_chi2_contingency():
+def test_chi2_one_sample_matches_chisquare():
     from scipy import stats as sp_stats
 
     rng = np.random.default_rng(2024)
     for _ in range(300):
-        m = int(rng.integers(3, 60))
-        table = rng.integers(0, rng.choice([40, 400, 40_000]), size=(2, m))
-        short = table.sum(axis=0) < verify.MIN_POOLED  # so no column is pooled with the next
-        table[0, short] += verify.MIN_POOLED
-        stat, p_scipy, dof, _ = sp_stats.chi2_contingency(table)
-        assert dof == m - 1
+        # a pmf of multiples of 1/R with R a power of two, so every expected count is an exact integer
+        m, draws = int(rng.integers(3, 60)), 1 << int(rng.integers(8, 17))
+        weights = rng.multinomial(draws, rng.dirichlet(np.full(m, rng.choice([0.3, 1.0, 10.0]))))
+        sample = rng.choice(m, size=draws, p=weights / draws)
+        sample[: rng.integers(0, 3)] = m + rng.integers(0, 4)  # values past the law's last site
+        expected, observed = _pooled(weights, np.bincount(sample, minlength=m))
+        stat, p_scipy = sp_stats.chisquare(observed, expected)
         # the pooled statistic is scipy's bit for bit, and the p-value is the closed form's
-        p = verify._chi2_two_sample(*_samples_of_table(table))
-        assert p == verify._chi2_sf(dof, stat)
+        p = verify._chi2_one_sample(sample, weights / draws)
+        assert p == verify._chi2_sf(expected.size - 1, stat)
         if p_scipy >= sys.float_info.min:
             assert abs(p / p_scipy - 1) <= 1e-13
         else:  # scipy's tail underflows to 0.0 first; the closed form's goes subnormal
             assert p < sys.float_info.min
+
+
+def test_chi2_one_sample_too_few_counts():
+    # 20 draws on two sites close no cell
+    with pytest.raises(ValueError, match="2 or more pooled cells, got 0"):
+        verify._chi2_one_sample(np.arange(20) % 2, np.array([0.5, 0.5]))
+
+
+def test_chi2_one_sample_refuses_fewer_than_two_cells():
+    # 40 draws on two sites close one cell, at the second site, and 60 close two
+    with pytest.raises(ValueError, match="2 or more pooled cells, got 1"):
+        verify._chi2_one_sample(np.arange(40) % 2, np.array([0.5, 0.5]))
+    assert verify._chi2_one_sample(np.arange(60) % 2, np.array([0.5, 0.5])) == 1.0
 
 
 #: pi to 60 digits, for the chi-square oracle
@@ -545,18 +562,11 @@ def test_chi2_sf_edges():
         verify._chi2_sf(0, 1.0)
 
 
-def test_chi2_two_sample_refuses_fewer_than_three_cells():
-    # one degree of freedom would call for Yates' correction, which c7b never needs
-    for table in ([[30, 10], [20, 40]], [[30], [20]]):
-        cells = len(table[0])
-        with pytest.raises(ValueError, match=f"3 or more pooled cells, got {cells}"):
-            verify._chi2_two_sample(*_samples_of_table(np.array(table)))
-
-
 def test_level1_chi2_p_value_pinned():
-    # the closed form's seed-7 p-value; the exact one is 0.43875970972768999
+    # the closed form's seed-7 p-value against the exact law, 11 pooled cells; the exact one is
+    # 0.82909152828895352
     (chi2,) = [c for c in verify.run_check("c7", 7) if c.name == "c7_level1_chi2"]
-    assert chi2.computed == 0.43875970972769
+    assert chi2.computed == 0.8290915282889535
 
 
 @pytest.mark.parametrize(

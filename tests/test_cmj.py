@@ -475,7 +475,24 @@ def test_geometric_drawn_last_level_has_the_walked_law(law, levels, t):
     walked = SimConfig(law, levels=levels, horizon=t, grid=np.array([t]), seed=30, replicas=4_000, stream_offset=1)
     assert not cmj._last_drawn(walked)
     y_drawn, y_walked = (monte_carlo(c, workers=1).counts[:, -1] for c in (drawn, walked))
-    assert verify._chi2_two_sample(y_drawn, y_walked) > 1e-3
+    assert _two_sample_p(y_drawn, y_walked) > 1e-3
+
+
+def _two_sample_p(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson's p-value that two integer samples share a law, from scipy's
+    ``chi2_contingency`` over values pooled in ascending order until a cell
+    holds 25 counts of both samples together; a short tail joins the last cell."""
+    from scipy import stats
+
+    lo, hi = min(x.min(), y.min()), max(x.max(), y.max())
+    table, cell = [], np.zeros(2, dtype=np.int64)
+    for pair in zip(*(np.bincount(v - lo, minlength=hi - lo + 1) for v in (x, y))):
+        cell += pair
+        if cell.sum() >= 25:
+            table.append(cell)
+            cell = np.zeros(2, dtype=np.int64)
+    table[-1] += cell
+    return stats.chi2_contingency(np.array(table).T)[1]
 
 
 def test_lattice_law_with_the_geometric_pmf_walks_every_level():
@@ -492,23 +509,22 @@ def test_lattice_law_with_the_geometric_pmf_walks_every_level():
 
 
 def test_ensemble_prepares_its_walk_once(monkeypatch):
-    # the O(M) moments sum runs a fixed number of times, not once per block
-    moments, calls = LatticeLaw.moments, []
-
-    def counted(law):
-        calls.append(law.span)
-        return moments(law)
-
-    per_run = []
-    for replicas, blocks in ((3, 1), (30, 10)):
-        config = SimConfig(GEOM, levels=2, horizon=400.0, eta=GEOM, seed=2, replicas=replicas)
-        assert -(-replicas // cmj._block_size(config)) == blocks
-        monkeypatch.setattr(LatticeLaw, "moments", counted)
-        calls.clear()
-        monte_carlo(config, workers=1)
-        monkeypatch.setattr(LatticeLaw, "moments", moments)
-        per_run.append(len(calls))
-    assert per_run[0] == per_run[1] <= 3
+    # a law sums its O(M) moments on first use only, and the walk sums them again only for the
+    # law it moves to a new span, in one block or in three
+    moments, built = dist.Moments, []
+    monkeypatch.setattr(dist, "Moments", lambda *args: built.append(args) or moments(*args))
+    for laws, sums in [
+        (lambda: (geometric_lattice(0.5), None), 1),
+        (lambda: (geometric_lattice(0.5, span=0.1), None), 2),  # walked at span 1
+        (lambda: (geometric_lattice(0.5), geometric_lattice(0.5)), 1),  # eta's span is the law's
+        (lambda: (geometric_lattice(0.5), LatticeLaw(0.5, np.array([1.0]))), 2),  # walked at span 2
+    ]:
+        law, eta = laws()
+        for replicas in (2, 3 * cmj._block_size(SimConfig(law, levels=2, horizon=40.0, eta=eta, replicas=2))):
+            law, eta = laws()
+            built.clear()
+            monte_carlo(SimConfig(law, levels=2, horizon=40.0, eta=eta, seed=2, replicas=replicas), workers=1)
+            assert len(built) == sums
 
 
 def test_config_refuses_replica_counts_past_the_memory_guard():

@@ -283,8 +283,10 @@ def long_law():
     ids=["law0", "law1", "law2"],
 )
 def test_with_span_is_the_law_built_on_that_span(law, digest, long_law):
+    law.moments()  # summed at the old span: the moved law sums its own, and the same span shares them
     moved, fresh = law.with_span(3.0), LatticeLaw(3.0, law.pmf)
     assert moved == fresh and moved._cdf is law._cdf and moved._guide is law._guide and law.span != 3.0
+    assert moved.moments() == fresh.moments() and law.with_span(law.span).moments() is law.moments()
     assert np.array_equal(moved.sample(RngStream(2, 0).generator(), 5000), fresh.sample(RngStream(2, 0).generator(), 5000))
     # a draw is span * site, one rounding: the draws at non-dyadic spans keep their bits
     drawn = hashlib.sha256()

@@ -175,7 +175,8 @@ def test_no_module_uses_a_name_kept_only_for_perfbench():
     and check c3 their perturbed tables through ``renewal_table(law, K, N, eta)``,
     so nothing in the package uses the single-replica samplers or the
     ``renewal_sequence`` -> ``perturbed_table`` -> ``convolve_levels`` chain.
-    Check c7b draws both its samples through ``rrt.sample_profiles`` too:
+    Check c7b draws its one sample through ``rrt.sample_profiles`` too, and
+    tests it against the exact law of ``rrt.enumerate_profiles``:
     ``bernoulli_level1_sample`` is level 1 of that sampler, draw for draw.
     They are still defined only because the benchmark harness
     (``perfbench/`` and its tests) calls them; ROADMAP items 2 and 6 delete them

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from iterlog.cmj import lil_statistic
 from iterlog.dist import RngStream, SmoothLaw, draw_rows
 from iterlog.renewal import leading_term
-from iterlog.verify import check_rrt
+from iterlog.verify import _chi2_one_sample, check_rrt
 from iterlog.rrt import (
     _levels,
     bernoulli_level1_sample,
@@ -279,22 +279,12 @@ def test_bernoulli_mean_matches_harmonic():
     assert abs(values.mean() - _harmonic(n)) <= 4.0 * sd / math.sqrt(reps)
 
 
-def test_level1_law_matches_bernoulli_sampler():
-    from scipy import stats as sp_stats
-
-    # the Bernoulli sampler is the tree sampler's level 1, so this compares two streams of one sampler
+def test_level1_sample_has_the_exact_law():
+    # Pearson's test of 20k trees' level 1 against the level-count chain's exact law
     n, reps = 20, 20_000
+    exact = enumerate_profiles(n, 1)
     grown = sample_profiles(n, 1, RngStream(53, 0), reps)[:, 0]
-    direct = bernoulli_level1_sample(n, RngStream(53, 1 << 20), reps)
-    lo = int(min(grown.min(), direct.min()))
-    hi = int(max(grown.max(), direct.max()))
-    edges = np.arange(lo, hi + 2)
-    cg, _ = np.histogram(grown, edges)
-    cd, _ = np.histogram(direct, edges)
-    keep = (cg + cd) >= 10
-    table = np.array([cg[keep], cd[keep]])
-    _, p, _, _ = sp_stats.chi2_contingency(table)
-    assert p > 0.01
+    assert _chi2_one_sample(grown, np.array([exact.get((x,), 0.0) for x in range(n + 1)])) > 0.01
 
 
 def test_statistic_values():
@@ -377,8 +367,8 @@ def test_bernoulli_sample_chunks_draw_one_block():
     got = bernoulli_level1_sample(n, RngStream(73, 2), reps)
     assert got.dtype == np.int64
     assert np.array_equal(got, expected)
-    # c7b's call is level 1 of the tree sampler on the same stream, bit for bit, and keeps the
-    # sha256 it had when it drew (u * m < 1).sum() itself
+    # at c7b's shape it is level 1 of the tree sampler on the same stream, bit for bit, and keeps
+    # the sha256 it had when it drew (u * m < 1).sum() itself
     bern = bernoulli_level1_sample(50, RngStream(7, 3), 100_000)
     assert bern.tobytes() == sample_profiles(50, 1, RngStream(7, 3), 100_000)[:, 0].tobytes()
     assert hashlib.sha256(bern.astype("<i8").tobytes()).hexdigest() == (
